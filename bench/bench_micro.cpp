@@ -13,6 +13,7 @@
 #include "maf/maf.hpp"
 #include "maf/maf_table.hpp"
 #include "sched/scheduler.hpp"
+#include "support/naive_polymem.hpp"
 
 namespace {
 
@@ -89,7 +90,8 @@ BENCHMARK(BM_PolyMemParallelRead)->DenseRange(0, 4)->ArgNames({"scheme"});
 // Cached-vs-naive hot path (ISSUE: plan-template cache). Both walk the
 // same strided anchor sequence; arg0 selects the scheme, arg1 the p x q
 // geometry (packed as p * 16 + q). The cached run replays memoized plan
-// templates; the naive run re-plans every access through the AGU.
+// templates; the naive run is the test oracle (tests/support), which
+// re-plans every access through the AGU and the shuffles.
 core::PolyMemConfig hot_path_config(benchmark::State& state) {
   const auto scheme = static_cast<maf::Scheme>(state.range(0));
   const unsigned p = static_cast<unsigned>(state.range(1)) / 16;
@@ -97,7 +99,8 @@ core::PolyMemConfig hot_path_config(benchmark::State& state) {
   return core::PolyMemConfig::with_capacity(256 * KiB, scheme, p, q);
 }
 
-void hot_path_walk(benchmark::State& state, core::PolyMem& mem) {
+template <typename Mem>
+void hot_path_walk(benchmark::State& state, Mem& mem) {
   const auto& cfg = mem.config();
   std::vector<core::Word> out(cfg.lanes());
   // Row walks for row-capable schemes, aligned rect walks otherwise
@@ -118,8 +121,7 @@ void hot_path_walk(benchmark::State& state, core::PolyMem& mem) {
 }
 
 void BM_PolyMemReadNaive(benchmark::State& state) {
-  core::PolyMem mem(hot_path_config(state));
-  mem.set_plan_cache_enabled(false);
+  core::NaivePolyMem mem(hot_path_config(state));
   hot_path_walk(state, mem);
 }
 BENCHMARK(BM_PolyMemReadNaive)

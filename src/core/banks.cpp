@@ -49,16 +49,6 @@ void BankArray::read(unsigned port, std::span<const std::int64_t> per_bank_addr,
     per_bank_data[b] = replica(port, b).read(per_bank_addr[b]);
 }
 
-void BankArray::read_shared(unsigned port,
-                            std::span<const std::int64_t> per_bank_addr,
-                            std::span<hw::Word> per_bank_data) const {
-  POLYMEM_REQUIRE(per_bank_addr.size() == banks_ &&
-                      per_bank_data.size() == banks_,
-                  "per-bank vectors must cover every bank");
-  for (unsigned b = 0; b < banks_; ++b)
-    per_bank_data[b] = replica(port, b).peek(per_bank_addr[b]);
-}
-
 const hw::Word* BankArray::bank_storage(unsigned port, unsigned bank) const {
   return replica(port, bank).data();
 }

@@ -11,7 +11,6 @@
 #include <span>
 #include <vector>
 
-#include "core/agu.hpp"
 #include "hw/bram.hpp"
 
 namespace polymem::core {
@@ -36,14 +35,6 @@ class BankArray {
   void read(unsigned port, std::span<const std::int64_t> per_bank_addr,
             std::span<hw::Word> per_bank_data);
 
-  /// Port-concurrent read path: same data as read(), but without the
-  /// per-cycle port accounting (no begin_cycle handshake, no lifetime
-  /// counters). Each read port owns a disjoint bank replica, so any
-  /// number of threads may call this on *distinct* ports while no write
-  /// is in flight — the contract PolyMem::read_batch_mt runs under.
-  void read_shared(unsigned port, std::span<const std::int64_t> per_bank_addr,
-                   std::span<hw::Word> per_bank_data) const;
-
   /// Host backdoor (no port accounting) — used by load/offload paths.
   hw::Word peek(unsigned bank, std::int64_t addr) const;
   void poke(unsigned bank, std::int64_t addr, hw::Word value);
@@ -56,7 +47,7 @@ class BankArray {
 
   /// Bulk counter credit for compiled-engine batches, which skip the
   /// per-cycle port handshake (conflict-freedom is proven per residue
-  /// class at plan-build time — the read_shared contract). `per_bank`
+  /// class at plan-build time). `per_bank`
   /// accesses are credited to every bank of read replica `port`
   /// (reads), respectively every bank of every replica (writes).
   void add_bulk_reads(unsigned port, std::uint64_t per_bank);

@@ -2,6 +2,8 @@
 
 #include <numeric>
 
+#include "common/error.hpp"
+
 namespace polymem::core {
 
 namespace {
@@ -70,12 +72,11 @@ std::int32_t ExecPlan::resolve_table(const PlanTemplate* tmpl,
       return static_cast<std::int32_t>(used_++);
     }
   }
-  if (used_ == kMaxTables) return -1;
   acquire_table(tmpl, banks);
   return static_cast<std::int32_t>(used_ - 1);
 }
 
-bool ExecPlan::compile(const AccessBatch& batch, PlanCache& cache,
+void ExecPlan::compile(const AccessBatch& batch, PlanCache& cache,
                        BankArray& banks, unsigned lanes) {
   if (pool_key_ != &banks || lanes_ != lanes ||
       ports_ != banks.read_ports()) {
@@ -92,17 +93,15 @@ bool ExecPlan::compile(const AccessBatch& batch, PlanCache& cache,
   PlanCache::Memo memo;
   std::int32_t last = -1;  // table index the previous access resolved to
   const auto resolve = [&](std::int64_t t,
-                           const access::ParallelAccess& acc) -> bool {
+                           const access::ParallelAccess& acc) {
     std::int64_t delta = 0;
     const PlanTemplate* tmpl = cache.lookup(acc, delta, memo);
-    if (tmpl == nullptr) return false;
-    if (last < 0 || tables_[static_cast<std::size_t>(last)].tmpl != tmpl) {
+    POLYMEM_REQUIRE(tmpl != nullptr,
+                    "ExecPlan::compile needs a validated batch");
+    if (last < 0 || tables_[static_cast<std::size_t>(last)].tmpl != tmpl)
       last = resolve_table(tmpl, banks);
-      if (last < 0) return false;
-    }
     tmpl_of_[static_cast<std::size_t>(t)] = last;
     delta_[static_cast<std::size_t>(t)] = delta;
-    return true;
   };
 
   access::ParallelAccess acc{batch.kind, batch.start};
@@ -123,7 +122,7 @@ bool ExecPlan::compile(const AccessBatch& batch, PlanCache& cache,
         (period > 0 && period + 1 < count_) ? period + 1 : count_;
     std::int64_t t = 0;
     for (; t < head; ++t) {
-      if (!resolve(t, acc)) return false;
+      resolve(t, acc);
       acc.anchor.i += batch.inner_stride.i;
       acc.anchor.j += batch.inner_stride.j;
     }
@@ -139,12 +138,12 @@ bool ExecPlan::compile(const AccessBatch& batch, PlanCache& cache,
       }
     } else {
       for (; t < count_; ++t) {
-        if (!resolve(t, acc)) return false;
+        resolve(t, acc);
         acc.anchor.i += batch.inner_stride.i;
         acc.anchor.j += batch.inner_stride.j;
       }
     }
-    return used_ > 0 || count_ == 0;
+    return;
   }
 
   std::int64_t t = 0;
@@ -152,13 +151,12 @@ bool ExecPlan::compile(const AccessBatch& batch, PlanCache& cache,
     acc.anchor = {batch.start.i + o * batch.outer_stride.i,
                   batch.start.j + o * batch.outer_stride.j};
     for (std::int64_t k = 0; k < batch.inner_count; ++k) {
-      if (!resolve(t, acc)) return false;
+      resolve(t, acc);
       ++t;
       acc.anchor.i += batch.inner_stride.i;
       acc.anchor.j += batch.inner_stride.j;
     }
   }
-  return used_ > 0 || count_ == 0;
 }
 
 }  // namespace polymem::core

@@ -51,10 +51,6 @@ namespace polymem::core {
 
 class ExecPlan {
  public:
-  /// Distinct residue classes a single plan may span before compile()
-  /// gives up (adversarial batches fall back to the interpreted engine).
-  static constexpr std::size_t kMaxTables = 64;
-
   struct Tables {
     const PlanTemplate* tmpl = nullptr;
     simd::AlignedVec<std::int32_t> bank;           // lane k -> bank
@@ -68,12 +64,12 @@ class ExecPlan {
     simd::AlignedVec<std::uintptr_t> bank_base;
   };
 
-  /// Compiles `batch` against the plan cache and bank storage. Returns
-  /// false — leaving the plan unusable — when any access lacks a cached
-  /// template (cache disabled/full, unsupported anchors; the interpreted
-  /// engine then serves the batch and reports exact errors) or the batch
-  /// spans more than kMaxTables residue classes.
-  bool compile(const AccessBatch& batch, PlanCache& cache, BankArray& banks,
+  /// Compiles `batch` against the plan cache and bank storage. The batch
+  /// must already be validated (PolyMem::validate_batch): every access then
+  /// has a template, so compilation cannot fail. An access without one
+  /// throws InvalidArgument. The table pool grows to the number of residue
+  /// classes the batch spans and keeps that capacity for later compiles.
+  void compile(const AccessBatch& batch, PlanCache& cache, BankArray& banks,
                unsigned lanes);
 
   std::int64_t count() const { return count_; }

@@ -1,5 +1,6 @@
 #include "core/plan_cache.hpp"
 
+#include <iterator>
 #include <mutex>
 
 #include "common/error.hpp"
@@ -13,24 +14,33 @@ using access::PatternKind;
 namespace {
 
 // Keying templates as (kind * Pi + ri) * Pj + rj must not overflow, and a
-// degenerate geometry with astronomically long periods would hash poorly
-// anyway; such configurations simply keep the naive path.
+// geometry with astronomically long periods would hash poorly anyway.
 constexpr std::int64_t kMaxPeriod = std::int64_t{1} << 20;
 
-// Templates are built lazily per residue class actually touched, so the
-// map stays tiny for regular walks; this cap bounds adversarial access
-// sequences that spray residues (overflow degrades to the naive path).
-constexpr std::size_t kMaxTemplates = std::size_t{1} << 16;
+// Upper bound on the templates one geometry may need: one per pattern kind
+// per (ri, rj) residue pair. Geometries above it are rejected up front so
+// that lookup never has to refuse a valid access. The largest geometries
+// in use (16 lanes) need at most 6 * 2048 = 12288.
+constexpr std::int64_t kMaxTemplates = std::int64_t{1} << 16;
 
 }  // namespace
+
+bool PlanCache::fits(const maf::Maf& maf) {
+  const std::int64_t pi = maf.period_i();
+  const std::int64_t pj = maf.period_j();
+  const auto kinds = static_cast<std::int64_t>(std::size(access::kAllPatterns));
+  return pi < kMaxPeriod && pj < kMaxPeriod &&
+         kinds * pi * pj <= kMaxTemplates;
+}
 
 PlanCache::PlanCache(const PolyMemConfig& config, const maf::Maf& maf,
                      const maf::AddressingFunction& addressing)
     : config_(&config), maf_(&maf), addressing_(&addressing) {
+  POLYMEM_REQUIRE(fits(maf),
+                  "MAF periods of this geometry exceed the plan-template "
+                  "budget");
   period_i_ = maf.period_i();
   period_j_ = maf.period_j();
-  enabled_ = period_i_ < kMaxPeriod && period_j_ < kMaxPeriod;
-  if (!enabled_) return;
   POLYMEM_ASSERT(period_i_ % config.p == 0 && period_j_ % config.q == 0);
   row_words_ = config.width / config.q;
   delta_i_ = (period_i_ / config.p) * row_words_;
@@ -46,8 +56,8 @@ PlanCache::PlanCache(const PolyMemConfig& config, const maf::Maf& maf,
   }
 }
 
-maf::SupportLevel PlanCache::support_for(PatternKind kind) {
-  KindInfo& ki = kinds_[static_cast<std::size_t>(kind)];
+maf::SupportLevel PlanCache::support(PatternKind kind) const {
+  const KindInfo& ki = kinds_[static_cast<std::size_t>(kind)];
   int state = ki.support.load(std::memory_order_relaxed);
   if (state == 0) {
     // probe_support is deterministic and internally synchronised, so a
@@ -60,9 +70,8 @@ maf::SupportLevel PlanCache::support_for(PatternKind kind) {
 
 const PlanTemplate* PlanCache::lookup(const ParallelAccess& access,
                                       std::int64_t& delta, Memo& memo) {
-  if (!enabled_) return nullptr;
   const KindInfo& ki = kinds_[static_cast<std::size_t>(access.kind)];
-  switch (support_for(access.kind)) {
+  switch (support(access.kind)) {
     case maf::SupportLevel::kNone:
       return nullptr;
     case maf::SupportLevel::kAligned:
@@ -91,7 +100,6 @@ const PlanTemplate* PlanCache::lookup(const ParallelAccess& access,
     return memo.tmpl;
   }
   const PlanTemplate* tmpl = find_or_build(access.kind, ri, rj, key);
-  if (tmpl == nullptr) return nullptr;  // cache full
   memo.key = key;
   memo.tmpl = tmpl;
   return tmpl;
@@ -113,7 +121,6 @@ const PlanTemplate* PlanCache::find_or_build(PatternKind kind, std::int64_t ri,
     hits_.fetch_add(1, std::memory_order_relaxed);
     return &it->second;
   }
-  if (templates_.size() >= kMaxTemplates) return nullptr;
   return &build(kind, ri, rj, key);
 }
 

@@ -18,10 +18,14 @@
 // residue class (strided walks cycle through a handful of classes).
 //
 // Concurrency: lookups are thread-safe. The hot-path memo lives with the
-// caller (one PlanCache::Memo per reader thread), the template map sits
-// behind a shared_mutex (shared find / exclusive build), counters are
-// relaxed atomics, and template pointers are stable for the cache's
-// lifetime — the contract read_batch_mt and the TSan suite exercise.
+// caller (one PlanCache::Memo per thread), the template map sits behind a
+// shared_mutex (shared find / exclusive build), counters are relaxed
+// atomics, and template pointers are stable for the cache's lifetime.
+//
+// Totality: a geometry is accepted only when every template it could ever
+// need fits the key space and the template budget (fits()), so lookup()
+// serves every access that PolyMem::validate_batch admits — the compiled
+// engine never needs a fallback.
 //
 // Correctness rests on two machine-checked facts: the axis periods
 // (tested against Maf::bank over multiple periods) and conflict-freeness
@@ -60,16 +64,17 @@ struct PlanTemplate {
 
 class PlanCache {
  public:
+  /// Throws InvalidArgument when the geometry fails fits().
   PlanCache(const PolyMemConfig& config, const maf::Maf& maf,
             const maf::AddressingFunction& addressing);
+
+  /// True when every (pattern, residue) template of `maf` fits the key
+  /// space and the template budget — the precondition of a total lookup.
+  static bool fits(const maf::Maf& maf);
 
   // Holds pointers into the owning PolyMem's blocks; pinned like them.
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
-
-  /// False when the MAF periods are too large to key templates (the owner
-  /// then always uses the naive AGU path).
-  bool enabled() const { return enabled_; }
 
   /// Caller-owned single-entry memo for the one-template steady state
   /// (strided walks hit the same residue class for long runs). Each
@@ -85,11 +90,10 @@ class PlanCache {
 
   /// O(1) template lookup. Returns the template plus the per-anchor
   /// address offset `delta` (element addresses are `addr0[k] + delta`).
-  /// Returns nullptr — caller falls back to the naive path, which either
-  /// serves the access or reports the exact error — when the pattern is
-  /// unsupported (including unaligned anchors of aligned-only patterns),
-  /// the access leaves the address space, or the cache is disabled/full.
-  /// Thread-safe: lookups may run concurrently; `memo` carries the
+  /// Never null for an access PolyMem::validate_batch accepts; returns
+  /// nullptr only when the pattern is unsupported (including unaligned
+  /// anchors of aligned-only patterns) or the access leaves the address
+  /// space. Thread-safe: lookups may run concurrently; `memo` carries the
   /// caller's last-template fast path (one Memo per thread).
   const PlanTemplate* lookup(const access::ParallelAccess& access,
                              std::int64_t& delta, Memo& memo);
@@ -100,6 +104,9 @@ class PlanCache {
     Memo memo;
     return lookup(access, delta, memo);
   }
+
+  /// Support level of `kind` under this MAF, probed once per kind.
+  maf::SupportLevel support(access::PatternKind kind) const;
 
   std::int64_t period_i() const { return period_i_; }
   std::int64_t period_j() const { return period_j_; }
@@ -131,7 +138,6 @@ class PlanCache {
 
   /// Aggregate cache state, one call — for polymem_info and reports.
   struct Stats {
-    bool enabled = false;
     std::int64_t period_i = 1;
     std::int64_t period_j = 1;
     std::uint64_t hits = 0;
@@ -139,20 +145,19 @@ class PlanCache {
     std::size_t templates = 0;
   };
   Stats stats() const {
-    return {enabled_, period_i_, period_j_, hits(), builds(), size()};
+    return {period_i_, period_j_, hits(), builds(), size()};
   }
 
  private:
   struct KindInfo {
     // Probed lazily: 0 = unknown, else SupportLevel + 1. probe_support is
     // deterministic, so racing probes store the same value (relaxed).
-    std::atomic<int> support{0};
+    mutable std::atomic<int> support{0};
     // Valid anchor rectangle (inclusive) for in-bounds accesses.
     std::int64_t min_i = 0, max_i = -1;
     std::int64_t min_j = 0, max_j = -1;
   };
 
-  maf::SupportLevel support_for(access::PatternKind kind);
   const PlanTemplate* find_or_build(access::PatternKind kind, std::int64_t ri,
                                     std::int64_t rj, std::uint64_t key);
   const PlanTemplate& build(access::PatternKind kind, std::int64_t ri,
@@ -161,7 +166,6 @@ class PlanCache {
   const PolyMemConfig* config_;
   const maf::Maf* maf_;
   const maf::AddressingFunction* addressing_;
-  bool enabled_ = false;
   std::int64_t period_i_ = 1;
   std::int64_t period_j_ = 1;
   std::int64_t row_words_ = 0;   // W/q: address stride of one block row

@@ -2,12 +2,8 @@
 
 #include <sstream>
 
-#include <algorithm>
-
 #include "common/error.hpp"
-#include "core/shuffle.hpp"
 #include "core/simd/dispatch.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace polymem::core {
 
@@ -15,78 +11,42 @@ PolyMem::PolyMem(PolyMemConfig config)
     : config_((config.validate(), config)),
       maf_(config.scheme, config.p, config.q),
       addressing_(config.p, config.q, config.height, config.width),
-      agu_(config_, maf_, addressing_),
       banks_(config.lanes(), config.read_ports, config.words_per_bank()),
       plan_cache_(config_, maf_, addressing_) {
-  init_scratch(scratch_);
-  init_scratch(write_scratch_);
-  copy_buf_.resize(config_.lanes());
-  // Kernel argument tables for multi-residue batches: bounded by the
-  // table cap and port count, so one reservation covers every call.
-  table_lane_scratch_.reserve(ExecPlan::kMaxTables);
-  table_bank_scratch_.reserve(ExecPlan::kMaxTables);
-  table_lfb_scratch_.reserve(ExecPlan::kMaxTables);
-  mt_table_scratch_.reserve(ExecPlan::kMaxTables * config_.read_ports);
-}
-
-void PolyMem::init_scratch(Scratch& s) {
-  // Sized once here; every later access reuses the buffers (the AGU's
-  // resize calls become no-ops and expansion never reallocates).
   const unsigned lanes = config_.lanes();
-  s.plan.reserve(lanes);
-  s.bank_addr.resize(lanes);
-  s.bank_data.resize(lanes);
+  for (Routed* side : {&read_side_, &write_side_}) {
+    side->bank_addr.resize(lanes);
+    side->bank_data.resize(lanes);
+  }
+  copy_buf_.resize(lanes);
 }
 
 maf::SupportLevel PolyMem::supports(access::PatternKind pattern) const {
-  return maf::probe_support(maf_, pattern);
+  return plan_cache_.support(pattern);
 }
 
-void PolyMem::plan_and_route_write(const access::ParallelAccess& where,
-                                   std::span<const Word> data, Scratch& s) {
-  POLYMEM_REQUIRE(data.size() == config_.lanes(),
-                  "write data must provide one word per lane");
-  if (use_plan_cache_) {
-    std::int64_t delta;
-    if (const PlanTemplate* t = plan_cache_.lookup(where, delta, s.memo)) {
-      const unsigned lanes = config_.lanes();
-      for (unsigned b = 0; b < lanes; ++b) {
-        s.bank_addr[b] = t->bank_addr0[b] + delta;
-        s.bank_data[b] = data[t->lane_for_bank[b]];
-      }
-      s.tmpl = t;
-      return;
-    }
-  }
-  s.tmpl = nullptr;
-  agu_.expand_into(where, s.plan);
-  address_shuffle(s.plan, s.bank_addr);
-  write_data_shuffle(s.plan, data, s.bank_data);
-}
-
-void PolyMem::plan_read(const access::ParallelAccess& where, Scratch& s) {
-  if (use_plan_cache_) {
-    std::int64_t delta;
-    if (const PlanTemplate* t = plan_cache_.lookup(where, delta, s.memo)) {
-      const unsigned lanes = config_.lanes();
-      for (unsigned b = 0; b < lanes; ++b)
-        s.bank_addr[b] = t->bank_addr0[b] + delta;
-      s.tmpl = t;
-      return;
-    }
-  }
-  // Fallback: the naive AGU path — also the error-reporting path for
-  // unsupported patterns and out-of-bounds accesses.
-  s.tmpl = nullptr;
-  agu_.expand_into(where, s.plan);
-  address_shuffle(s.plan, s.bank_addr);
+const PlanTemplate& PolyMem::route(const access::ParallelAccess& where,
+                                   Routed& side) {
+  validate_batch(AccessBatch::strided(where.kind, where.anchor, {0, 0}, 1));
+  std::int64_t delta = 0;
+  const PlanTemplate* t = plan_cache_.lookup(where, delta, side.memo);
+  POLYMEM_ASSERT(t != nullptr);  // total for validated accesses
+  const unsigned lanes = config_.lanes();
+  for (unsigned b = 0; b < lanes; ++b)
+    side.bank_addr[b] = t->bank_addr0[b] + delta;
+  return *t;
 }
 
 void PolyMem::write(const access::ParallelAccess& where,
                     std::span<const Word> data) {
-  plan_and_route_write(where, data, scratch_);
+  POLYMEM_REQUIRE(data.size() == config_.lanes(),
+                  "write data must provide one word per lane");
+  const PlanTemplate& t = route(where, write_side_);
+  const unsigned lanes = config_.lanes();
+  for (unsigned b = 0; b < lanes; ++b)
+    write_side_.bank_data[b] = data[t.lane_for_bank[b]];
   banks_.begin_cycle();
-  banks_.write(scratch_.bank_addr, scratch_.bank_data);
+  banks_.write(write_side_.bank_addr, write_side_.bank_data);
   ++parallel_writes_;
 }
 
@@ -95,18 +55,14 @@ void PolyMem::read_into(const access::ParallelAccess& where, unsigned port,
   POLYMEM_REQUIRE(port < config_.read_ports, "read port out of range");
   POLYMEM_REQUIRE(out.size() == config_.lanes(),
                   "read buffer must provide one word per lane");
-  plan_read(where, scratch_);
+  const PlanTemplate& t = route(where, read_side_);
   banks_.begin_cycle();
-  banks_.read(port, scratch_.bank_addr, scratch_.bank_data);
-  if (scratch_.tmpl) {
-    // The template's permutation was validated at build time; route the
-    // lanes directly instead of through the checked crossbar model.
-    const unsigned lanes = config_.lanes();
-    for (unsigned k = 0; k < lanes; ++k)
-      out[k] = scratch_.bank_data[scratch_.tmpl->bank[k]];
-  } else {
-    read_data_shuffle(scratch_.plan, scratch_.bank_data, out);
-  }
+  banks_.read(port, read_side_.bank_addr, read_side_.bank_data);
+  // The template's permutation was proven conflict-free at build time;
+  // route the lanes directly instead of through a checked crossbar.
+  const unsigned lanes = config_.lanes();
+  for (unsigned k = 0; k < lanes; ++k)
+    out[k] = read_side_.bank_data[t.bank[k]];
   ++parallel_reads_;
 }
 
@@ -125,32 +81,47 @@ void PolyMem::read_write(const access::ParallelAccess& read_from,
   POLYMEM_REQUIRE(read_out.size() == config_.lanes() &&
                       write_data.size() == config_.lanes(),
                   "buffers must provide one word per lane");
-  // The read and the write of the same cycle each need their own plan;
-  // both live in member scratch, so steady state allocates nothing.
-  plan_read(read_from, scratch_);
-  plan_and_route_write(write_to, write_data, write_scratch_);
+  // Both accesses are validated before either touches the banks.
+  const PlanTemplate& rt = route(read_from, read_side_);
+  const PlanTemplate& wt = route(write_to, write_side_);
+  const unsigned lanes = config_.lanes();
+  for (unsigned b = 0; b < lanes; ++b)
+    write_side_.bank_data[b] = write_data[wt.lane_for_bank[b]];
 
   banks_.begin_cycle();
   // Read first: an overlapping concurrent write lands *after* the read,
   // matching BRAM read-first port behaviour.
-  banks_.read(port, scratch_.bank_addr, scratch_.bank_data);
-  if (scratch_.tmpl) {
-    const unsigned lanes = config_.lanes();
-    for (unsigned k = 0; k < lanes; ++k)
-      read_out[k] = scratch_.bank_data[scratch_.tmpl->bank[k]];
-  } else {
-    read_data_shuffle(scratch_.plan, scratch_.bank_data, read_out);
-  }
-  banks_.write(write_scratch_.bank_addr, write_scratch_.bank_data);
+  banks_.read(port, read_side_.bank_addr, read_side_.bank_data);
+  for (unsigned k = 0; k < lanes; ++k)
+    read_out[k] = read_side_.bank_data[rt.bank[k]];
+  banks_.write(write_side_.bank_addr, write_side_.bank_data);
   ++parallel_reads_;
   ++parallel_writes_;
 }
 
+namespace {
+
+// a + b * c, or false when any step leaves int64.
+bool affine_checked(std::int64_t a, std::int64_t b, std::int64_t c,
+                    std::int64_t& out) {
+  std::int64_t prod = 0;
+  return !__builtin_mul_overflow(b, c, &prod) &&
+         !__builtin_add_overflow(a, prod, &out);
+}
+
+}  // namespace
+
 void PolyMem::validate_batch(const AccessBatch& batch) const {
   POLYMEM_REQUIRE(batch.inner_count >= 0 && batch.outer_count >= 0,
                   "batch counts must be non-negative");
-  if (batch.count() == 0) return;
-  const maf::SupportLevel level = maf::probe_support(maf_, batch.kind);
+  std::int64_t count = 0, words = 0;
+  POLYMEM_REQUIRE(
+      !__builtin_mul_overflow(batch.inner_count, batch.outer_count, &count) &&
+          !__builtin_mul_overflow(
+              count, static_cast<std::int64_t>(config_.lanes()), &words),
+      "batch size overflows");
+  if (count == 0) return;
+  const maf::SupportLevel level = plan_cache_.support(batch.kind);
   if (level == maf::SupportLevel::kNone) {
     std::ostringstream os;
     os << "scheme " << maf::scheme_name(config_.scheme) << " (" << config_.p
@@ -176,40 +147,49 @@ void PolyMem::validate_batch(const AccessBatch& batch) const {
     }
   }
   // Anchor coordinates are affine in the (inner, outer) index box, so the
-  // per-axis extremes — all `fits` cares about — occur at the corners.
+  // per-axis extremes — all `fits` cares about — occur at the corners. A
+  // corner that leaves int64 is out of bounds too (it would wrap).
   for (int corner = 0; corner < 4; ++corner) {
+    // A 1-wide axis repeats its corners; single accesses check one.
+    if (((corner & 1) && batch.inner_count == 1) ||
+        ((corner & 2) && batch.outer_count == 1))
+      continue;
     const std::int64_t k = (corner & 1) ? batch.inner_count - 1 : 0;
     const std::int64_t o = (corner & 2) ? batch.outer_count - 1 : 0;
-    const access::Coord anchor{
-        batch.start.i + o * batch.outer_stride.i + k * batch.inner_stride.i,
-        batch.start.j + o * batch.outer_stride.j + k * batch.inner_stride.j};
-    if (!access::fits({batch.kind, anchor}, config_.p, config_.q,
-                      config_.height, config_.width)) {
+    access::Coord anchor;
+    const bool exact =
+        affine_checked(batch.start.i, o, batch.outer_stride.i, anchor.i) &&
+        affine_checked(anchor.i, k, batch.inner_stride.i, anchor.i) &&
+        affine_checked(batch.start.j, o, batch.outer_stride.j, anchor.j) &&
+        affine_checked(anchor.j, k, batch.inner_stride.j, anchor.j);
+    if (!exact || !access::fits({batch.kind, anchor}, config_.p, config_.q,
+                                config_.height, config_.width)) {
       std::ostringstream os;
-      os << "batch access " << access::pattern_name(batch.kind) << " at "
-         << anchor << " exceeds the " << config_.height << 'x'
-         << config_.width << " address space";
+      os << "batch access " << access::pattern_name(batch.kind);
+      if (exact)
+        os << " at " << anchor;
+      else
+        os << " at corner " << corner << " overflows its coordinates and";
+      os << " exceeds the " << config_.height << 'x' << config_.width
+         << " address space";
       throw InvalidArgument(os.str());
     }
   }
 }
 
-ExecPlan* PolyMem::compiled_plan(const AccessBatch& batch,
+ExecPlan& PolyMem::compiled_plan(const AccessBatch& batch,
                                  const ExecPlan* avoid) {
-  if (!use_plan_cache_ || !plan_cache_.enabled()) return nullptr;
   for (ExecSlot& slot : exec_slots_)
-    if (slot.valid && slot.key == batch) return &slot.plan;
+    if (slot.valid && slot.key == batch) return slot.plan;
   if (avoid != nullptr && &exec_slots_[exec_victim_].plan == avoid)
     exec_victim_ = (exec_victim_ + 1) % kExecSlots;
   ExecSlot& slot = exec_slots_[exec_victim_];
-  if (!slot.plan.compile(batch, plan_cache_, banks_, config_.lanes())) {
-    slot.valid = false;
-    return nullptr;
-  }
+  slot.valid = false;  // a throwing compile leaves no stale key behind
+  slot.plan.compile(batch, plan_cache_, banks_, config_.lanes());
   slot.key = batch;
   slot.valid = true;
   exec_victim_ = (exec_victim_ + 1) % kExecSlots;
-  return &slot.plan;
+  return slot.plan;
 }
 
 void PolyMem::exec_read(const ExecPlan& plan, unsigned port, std::int64_t t0,
@@ -256,45 +236,16 @@ void PolyMem::read_batch(const AccessBatch& batch, unsigned port,
                          std::span<Word> out) {
   POLYMEM_REQUIRE(port < config_.read_ports, "read port out of range");
   validate_batch(batch);
-  const unsigned lanes = config_.lanes();
-  POLYMEM_REQUIRE(out.size() == static_cast<std::size_t>(batch.count()) * lanes,
-                  "batch read buffer must provide count * lanes words");
+  POLYMEM_REQUIRE(
+      out.size() == static_cast<std::size_t>(batch.count()) * config_.lanes(),
+      "batch read buffer must provide count * lanes words");
   if (batch.count() == 0) return;
-  if (ExecPlan* plan = compiled_plan(batch)) {
-    exec_read(*plan, port, 0, plan->count(), out.data());
-    // Bulk accounting: one read of every bank of replica `port` per
-    // access (conflict-freedom was proven at template build time, so the
-    // per-cycle handshake carries no information here).
-    banks_.add_bulk_reads(port, static_cast<std::uint64_t>(plan->count()));
-    parallel_reads_ += static_cast<std::uint64_t>(plan->count());
-    return;
-  }
-  Word* chunk = out.data();
-  access::ParallelAccess acc{batch.kind, batch.start};
-  for (std::int64_t o = 0; o < batch.outer_count; ++o) {
-    acc.anchor = {batch.start.i + o * batch.outer_stride.i,
-                  batch.start.j + o * batch.outer_stride.j};
-    for (std::int64_t t = 0; t < batch.inner_count; ++t) {
-      plan_read(acc, scratch_);
-      banks_.begin_cycle();
-      banks_.read(port, scratch_.bank_addr, scratch_.bank_data);
-      const unsigned* bank = scratch_.tmpl ? scratch_.tmpl->bank.data()
-                                           : scratch_.plan.bank.data();
-      for (unsigned k = 0; k < lanes; ++k)
-        chunk[k] = scratch_.bank_data[bank[k]];
-      chunk += lanes;
-      ++parallel_reads_;
-      acc.anchor.i += batch.inner_stride.i;
-      acc.anchor.j += batch.inner_stride.j;
-    }
-  }
+  read_compiled(compiled_plan(batch), port, out);
 }
 
-bool PolyMem::compile_batch(const AccessBatch& batch, ExecPlan& plan) {
+void PolyMem::compile_batch(const AccessBatch& batch, ExecPlan& plan) {
   validate_batch(batch);
-  if (batch.count() == 0 || !use_plan_cache_ || !plan_cache_.enabled())
-    return false;
-  return plan.compile(batch, plan_cache_, banks_, config_.lanes());
+  plan.compile(batch, plan_cache_, banks_, config_.lanes());
 }
 
 void PolyMem::read_compiled(const ExecPlan& plan, unsigned port,
@@ -304,6 +255,9 @@ void PolyMem::read_compiled(const ExecPlan& plan, unsigned port,
       out.size() == static_cast<std::size_t>(plan.count()) * plan.lanes(),
       "batch read buffer must provide count * lanes words");
   exec_read(plan, port, 0, plan.count(), out.data());
+  // Bulk accounting: one read of every bank of replica `port` per access
+  // (conflict-freedom was proven at template build time, so the per-cycle
+  // handshake carries no information here).
   banks_.add_bulk_reads(port, static_cast<std::uint64_t>(plan.count()));
   parallel_reads_ += static_cast<std::uint64_t>(plan.count());
 }
@@ -314,119 +268,19 @@ void PolyMem::write_compiled(const ExecPlan& plan,
       data.size() == static_cast<std::size_t>(plan.count()) * plan.lanes(),
       "batch write buffer must provide count * lanes words");
   exec_write(plan, 0, plan.count(), data.data());
+  // Every replica of every bank takes one write per access.
   banks_.add_bulk_writes(static_cast<std::uint64_t>(plan.count()));
   parallel_writes_ += static_cast<std::uint64_t>(plan.count());
-}
-
-void PolyMem::read_batch_mt(const AccessBatch& batch,
-                            runtime::ThreadPool& pool, std::span<Word> out) {
-  validate_batch(batch);
-  const unsigned lanes = config_.lanes();
-  POLYMEM_REQUIRE(out.size() == static_cast<std::size_t>(batch.count()) * lanes,
-                  "batch read buffer must provide count * lanes words");
-  if (batch.count() == 0) return;
-  const unsigned ports = config_.read_ports;
-  Word* const base = out.data();
-  // Claim whole inner rows when the batch is 2D, else modest chunks: long
-  // enough to amortise the claim lock, short enough to steal.
-  const std::int64_t grain =
-      batch.outer_count > 1 ? batch.inner_count
-                            : std::clamp<std::int64_t>(batch.count() / 64, 16, 1024);
-  if (ExecPlan* plan = compiled_plan(batch)) {
-    // Compiled path: one serial compile (or memo hit), then the workers
-    // split the batch into grain-sized chunks and run one kernel call
-    // per chunk — results land slot-addressed, so output is bit-identical
-    // to read_batch for any thread count. Reads go to the worker's port
-    // replica, the same data-race-free contract as read_shared.
-    const std::size_t tables = plan->table_count();
-    if (!plan->uniform()) {
-      mt_table_scratch_.resize(static_cast<std::size_t>(ports) * tables);
-      for (unsigned r = 0; r < ports; ++r)
-        for (std::size_t m = 0; m < tables; ++m)
-          mt_table_scratch_[static_cast<std::size_t>(r) * tables + m] =
-              plan->lane_base(m, r);
-    }
-    const simd::Kernels& kernels = simd::kernels();
-    const std::int64_t count = plan->count();
-    const std::int64_t chunks = (count + grain - 1) / grain;
-    runtime::parallel_for(
-        pool, 0, chunks,
-        [&](std::int64_t c, unsigned worker) {
-          const std::int64_t t0 = c * grain;
-          const std::int64_t n = std::min(count - t0, grain);
-          const unsigned port = worker % ports;
-          if (plan->uniform()) {
-            kernels.gather_run(plan->lane_base(0, port), lanes,
-                               plan->delta() + t0, n, base + t0 * lanes);
-          } else {
-            kernels.gather_multi(
-                mt_table_scratch_.data() +
-                    static_cast<std::size_t>(port) * tables,
-                plan->tmpl_of() + t0, lanes, plan->delta() + t0, n,
-                base + t0 * lanes);
-          }
-        },
-        1);
-    parallel_reads_ += static_cast<std::uint64_t>(count);
-    return;
-  }
-  // One Scratch per participant (pool workers + the calling thread),
-  // allocated before the parallel region so the hot loop allocates
-  // nothing. Existing scratches survive resizes untouched in content;
-  // their memoized template pointers stay valid (templates are pinned).
-  const unsigned participants = pool.size() + 1;
-  while (mt_scratch_.size() < participants) {
-    mt_scratch_.emplace_back();
-    init_scratch(mt_scratch_.back());
-  }
-  runtime::parallel_for(
-      pool, 0, batch.count(),
-      [&](std::int64_t t, unsigned worker) {
-        Scratch& s = mt_scratch_[worker];
-        const unsigned port = worker % ports;
-        plan_read(batch.access(t), s);
-        banks_.read_shared(port, s.bank_addr, s.bank_data);
-        const unsigned* bank =
-            s.tmpl ? s.tmpl->bank.data() : s.plan.bank.data();
-        Word* chunk = base + t * lanes;
-        for (unsigned k = 0; k < lanes; ++k) chunk[k] = s.bank_data[bank[k]];
-      },
-      grain);
-  parallel_reads_ += static_cast<std::uint64_t>(batch.count());
 }
 
 void PolyMem::write_batch(const AccessBatch& batch,
                           std::span<const Word> data) {
   validate_batch(batch);
-  const unsigned lanes = config_.lanes();
   POLYMEM_REQUIRE(
-      data.size() == static_cast<std::size_t>(batch.count()) * lanes,
+      data.size() == static_cast<std::size_t>(batch.count()) * config_.lanes(),
       "batch write buffer must provide count * lanes words");
   if (batch.count() == 0) return;
-  if (ExecPlan* plan = compiled_plan(batch)) {
-    exec_write(*plan, 0, plan->count(), data.data());
-    // Every replica of every bank takes one write per access, exactly as
-    // the interpreted loop would issue them.
-    banks_.add_bulk_writes(static_cast<std::uint64_t>(plan->count()));
-    parallel_writes_ += static_cast<std::uint64_t>(plan->count());
-    return;
-  }
-  const Word* chunk = data.data();
-  access::ParallelAccess acc{batch.kind, batch.start};
-  for (std::int64_t o = 0; o < batch.outer_count; ++o) {
-    acc.anchor = {batch.start.i + o * batch.outer_stride.i,
-                  batch.start.j + o * batch.outer_stride.j};
-    for (std::int64_t t = 0; t < batch.inner_count; ++t) {
-      plan_and_route_write(acc, std::span<const Word>(chunk, lanes),
-                           scratch_);
-      banks_.begin_cycle();
-      banks_.write(scratch_.bank_addr, scratch_.bank_data);
-      chunk += lanes;
-      ++parallel_writes_;
-      acc.anchor.i += batch.inner_stride.i;
-      acc.anchor.j += batch.inner_stride.j;
-    }
-  }
+  write_compiled(compiled_plan(batch), data);
 }
 
 void PolyMem::stream_copy_batch(const AccessBatch& from,
@@ -436,48 +290,21 @@ void PolyMem::stream_copy_batch(const AccessBatch& from,
                   "copy batches must have equal access counts");
   validate_batch(from);
   validate_batch(to);
-  const unsigned lanes = config_.lanes();
   if (from.count() == 0) return;
-  // Fused compiled path: both halves compile, then each element is one
-  // gather into the lane buffer and one scatter out of it — preserving
-  // the read-before-write-per-cycle semantics for overlapping batches.
-  if (ExecPlan* rd = compiled_plan(from)) {
-    if (ExecPlan* wr = compiled_plan(to, /*avoid=*/rd)) {
-      const std::int64_t count = rd->count();
-      for (std::int64_t t = 0; t < count; ++t) {
-        exec_read(*rd, port, t, 1, copy_buf_.data());
-        exec_write(*wr, t, 1, copy_buf_.data());
-      }
-      banks_.add_bulk_reads(port, static_cast<std::uint64_t>(count));
-      banks_.add_bulk_writes(static_cast<std::uint64_t>(count));
-      parallel_reads_ += static_cast<std::uint64_t>(count);
-      parallel_writes_ += static_cast<std::uint64_t>(count);
-      return;
-    }
+  // Both halves compile, then each element is one gather into the lane
+  // buffer and one scatter out of it — preserving the read-before-write-
+  // per-cycle semantics for overlapping batches.
+  const ExecPlan& rd = compiled_plan(from);
+  const ExecPlan& wr = compiled_plan(to, /*avoid=*/&rd);
+  const std::int64_t count = rd.count();
+  for (std::int64_t t = 0; t < count; ++t) {
+    exec_read(rd, port, t, 1, copy_buf_.data());
+    exec_write(wr, t, 1, copy_buf_.data());
   }
-  access::ParallelAccess src{from.kind, from.start};
-  access::ParallelAccess dst{to.kind, to.start};
-  for (std::int64_t o = 0; o < from.outer_count; ++o) {
-    src.anchor = {from.start.i + o * from.outer_stride.i,
-                  from.start.j + o * from.outer_stride.j};
-    for (std::int64_t t = 0; t < from.inner_count; ++t) {
-      const std::int64_t flat = o * from.inner_count + t;
-      dst.anchor = to.access(flat).anchor;
-      plan_read(src, scratch_);
-      banks_.begin_cycle();
-      banks_.read(port, scratch_.bank_addr, scratch_.bank_data);
-      const unsigned* bank = scratch_.tmpl ? scratch_.tmpl->bank.data()
-                                           : scratch_.plan.bank.data();
-      for (unsigned k = 0; k < lanes; ++k)
-        copy_buf_[k] = scratch_.bank_data[bank[k]];
-      plan_and_route_write(dst, copy_buf_, write_scratch_);
-      banks_.write(write_scratch_.bank_addr, write_scratch_.bank_data);
-      ++parallel_reads_;
-      ++parallel_writes_;
-      src.anchor.i += from.inner_stride.i;
-      src.anchor.j += from.inner_stride.j;
-    }
-  }
+  banks_.add_bulk_reads(port, static_cast<std::uint64_t>(count));
+  banks_.add_bulk_writes(static_cast<std::uint64_t>(count));
+  parallel_reads_ += static_cast<std::uint64_t>(count);
+  parallel_writes_ += static_cast<std::uint64_t>(count);
 }
 
 Word PolyMem::load(access::Coord c) const {

@@ -5,29 +5,24 @@
 // conflict-free module assignment function; every read() / write() moves
 // p*q elements at once, the way one clock cycle of the hardware does.
 //
-// The functional model executes each access through the full hardware data
-// path of paper Fig. 3 — AGU, MAF/addressing, inverse shuffles, banks with
-// per-cycle port accounting, read shuffle — but without timing. For timed
-// simulation (latency, concurrent read+write, multi-port scheduling) use
-// core/cycle_polymem.hpp, which layers clocking on top of the same blocks.
-//
-// Three execution engines serve accesses (docs/ARCHITECTURE.md,
-// "Performance model" and "SIMD execution engine"):
-//  - the *naive* path runs the AGU per access (support probe, bounds
-//    check, per-lane MAF + addressing, three shuffles);
-//  - the *cached* path replays a memoized plan template
-//    (core/plan_cache.hpp) — the MAF is periodic per axis, so the bank
-//    permutation and base addresses of an anchor-residue class are
-//    computed once and every later access in the class is one table
-//    lookup plus one add per bank;
-//  - the *compiled* path (default for batches) lowers a whole
-//    AccessBatch to flat structure-of-arrays tables (core/exec_plan.hpp)
-//    and executes it with CPU-dispatched gather/scatter kernels
+// Every access is served one way (docs/ARCHITECTURE.md, "Performance
+// model" and "SIMD execution engine"). validate_batch checks support,
+// alignment and bounds once per call — a single access is checked as a
+// 1-element batch — and the plan-template cache (core/plan_cache.hpp) then
+// supplies the bank permutation and base addresses of the access's
+// residue class, which the MAF's per-axis periodicity makes reusable:
+//  - single accesses (read, write, read_write) route their lanes straight
+//    through the template into the banks, with per-cycle port accounting;
+//  - batches compile to flat structure-of-arrays tables
+//    (core/exec_plan.hpp) and run on CPU-dispatched gather/scatter kernels
 //    (core/simd/) — scalar, AVX2 or NEON, selected at startup and
 //    overridable via POLYMEM_SIMD / POLYMEM_FORCE_SCALAR.
-// All paths are observably identical (differentially tested); the naive
-// path remains for unsupported/out-of-bounds error reporting, cache
-// overflow, and as the benchmark baseline.
+// A validated access always has a template (PlanCache rejects geometries
+// whose templates would not fit at construction), so there is no fallback
+// path. The per-lane AGU + shuffle data path of paper Fig. 3 survives as
+// the test oracle (tests/support) that both paths are checked against.
+// For timed simulation (latency, concurrent read+write, multi-port
+// scheduling) use core/cycle_polymem.hpp, which layers clocking on top.
 #pragma once
 
 #include <array>
@@ -37,7 +32,6 @@
 
 #include "access/pattern.hpp"
 #include "core/access_batch.hpp"
-#include "core/agu.hpp"
 #include "core/banks.hpp"
 #include "core/config.hpp"
 #include "core/exec_plan.hpp"
@@ -46,10 +40,6 @@
 #include "maf/addressing.hpp"
 #include "maf/conflict.hpp"
 #include "maf/maf.hpp"
-
-namespace polymem::runtime {
-class ThreadPool;
-}
 
 namespace polymem::core {
 
@@ -60,6 +50,8 @@ using hw::Word;
 
 class PolyMem {
  public:
+  /// Throws InvalidArgument for an invalid configuration or one whose
+  /// MAF periods exceed the plan-template budget (PlanCache::fits).
   explicit PolyMem(PolyMemConfig config);
 
   // Internal blocks hold references to each other; pinned in place.
@@ -69,7 +61,6 @@ class PolyMem {
   const PolyMemConfig& config() const { return config_; }
   const maf::Maf& maf() const { return maf_; }
   const maf::AddressingFunction& addressing() const { return addressing_; }
-  const Agu& agu() const { return agu_; }
   unsigned lanes() const { return config_.lanes(); }
 
   /// Machine-checked support level of a pattern under this configuration.
@@ -98,40 +89,23 @@ class PolyMem {
   /// it with the dispatched gather/scatter kernels (core/simd/) — no
   /// per-access allocation, re-validation or per-bank call. Compiled
   /// plans are memoized per batch, so replaying an equal batch skips
-  /// compilation entirely. Batches the plan cache cannot serve fall back
-  /// to the interpreted per-access loop (identical results). Each batch
-  /// element is its own cycle; results/data are the concatenation of the
-  /// per-access canonical lane groups, so `out`/`data` must hold
-  /// count() * lanes() words.
+  /// compilation entirely. Each batch element is its own cycle;
+  /// results/data are the concatenation of the per-access canonical lane
+  /// groups, so `out`/`data` must hold count() * lanes() words.
   void read_batch(const AccessBatch& batch, unsigned port,
                   std::span<Word> out);
   void write_batch(const AccessBatch& batch, std::span<const Word> data);
-
-  /// Concurrent multi-port batched read: shards the batch across the
-  /// pool's threads, each serving its slice on read port
-  /// `worker % read_ports` — the host-side mirror of the paper's
-  /// replicated read ports answering independent requests in the same
-  /// cycle. Results are bit-identical to read_batch (every element lands
-  /// in its own `out` slot; all port replicas hold the same data) for any
-  /// thread count, including a pool of size 0 (serial).
-  ///
-  /// Contract: a read-only phase — no concurrent write/store/fill may run
-  /// during the call (reads bypass the per-cycle port accounting, which
-  /// stays a serial-engine feature; access counters are bulk-added).
-  void read_batch_mt(const AccessBatch& batch, runtime::ThreadPool& pool,
-                     std::span<Word> out);
 
   /// Service-drain entry points (src/service): compile a batch into a
   /// *caller-owned* plan and execute it later. The service loop drains a
   /// coalesced run per iteration, and the runs differ call to call, so
   /// the 4-slot replay memo behind read_batch would thrash; a drain that
   /// owns one ExecPlan instead recompiles it in place — ExecPlan reuses
-  /// its capacity, so steady-state recompiles allocate nothing. Returns
-  /// false (plan unusable; serve the batch per access instead) when the
-  /// plan cache cannot supply a template for every access. The plan's
-  /// pointer tables stay valid for this PolyMem's lifetime but belong to
-  /// this PolyMem only.
-  bool compile_batch(const AccessBatch& batch, ExecPlan& plan);
+  /// its capacity, so steady-state recompiles allocate nothing. Throws
+  /// like read_batch for an invalid batch; a valid one always compiles.
+  /// The plan's pointer tables stay valid for this PolyMem's lifetime but
+  /// belong to this PolyMem only.
+  void compile_batch(const AccessBatch& batch, ExecPlan& plan);
 
   /// Executes a plan compiled by compile_batch on this PolyMem: the whole
   /// batch as one gather on read port `port` / one scatter, with the same
@@ -163,26 +137,14 @@ class PolyMem {
   std::uint64_t parallel_reads() const { return parallel_reads_; }
   std::uint64_t parallel_writes() const { return parallel_writes_; }
 
-  /// Toggles the plan-template fast path (default on). The naive AGU path
-  /// exists as the differential-test reference and benchmark baseline.
-  void set_plan_cache_enabled(bool enabled) { use_plan_cache_ = enabled; }
-  bool plan_cache_enabled() const {
-    return use_plan_cache_ && plan_cache_.enabled();
-  }
   const PlanCache& plan_cache() const { return plan_cache_; }
   PlanCache& plan_cache() { return plan_cache_; }
 
  private:
-  // Scratch buffers sized to lanes(), reused across accesses. `tmpl` is
-  // set when the access was planned from a cache template (the template
-  // then carries the shuffle permutation), null on the naive path. The
-  // plan-cache memo lives here (not in the cache) so each reader thread
-  // of the MT engine owns its own single-entry fast path. Cache-line
-  // aligned so the per-participant scratches of the MT engine
-  // (mt_scratch_) never share a line across worker threads.
-  struct alignas(64) Scratch {
-    AccessPlan plan;
-    const PlanTemplate* tmpl = nullptr;
+  // One side of a single access, routed into bank order: the template
+  // memo plus per-bank address/data buffers sized to lanes() once.
+  // read_write needs one side for the read and one for the write.
+  struct Routed {
     PlanCache::Memo memo;
     std::vector<std::int64_t> bank_addr;
     std::vector<Word> bank_data;
@@ -199,17 +161,16 @@ class PolyMem {
     ExecPlan plan;
   };
 
-  void init_scratch(Scratch& s);
-  void plan_and_route_write(const access::ParallelAccess& where,
-                            std::span<const Word> data, Scratch& s);
-  void plan_read(const access::ParallelAccess& where, Scratch& s);
+  /// Validates `where` as a 1-element batch and fills `side.bank_addr`
+  /// from its template; returns the template.
+  const PlanTemplate& route(const access::ParallelAccess& where,
+                            Routed& side);
   void validate_batch(const AccessBatch& batch) const;
 
-  /// The compiled plan serving `batch`: a memo hit, or a fresh compile
-  /// into the next slot. Returns nullptr (interpreted engine takes over)
-  /// when the plan cache cannot serve the batch. `avoid` pins one plan
-  /// (the other half of a fused copy) against eviction.
-  ExecPlan* compiled_plan(const AccessBatch& batch,
+  /// The compiled plan serving a validated `batch`: a memo hit, or a
+  /// fresh compile into the next slot. `avoid` pins one plan (the other
+  /// half of a fused copy) against eviction.
+  ExecPlan& compiled_plan(const AccessBatch& batch,
                           const ExecPlan* avoid = nullptr);
   void exec_read(const ExecPlan& plan, unsigned port, std::int64_t t0,
                  std::int64_t count, Word* out);
@@ -219,24 +180,19 @@ class PolyMem {
   PolyMemConfig config_;
   maf::Maf maf_;
   maf::AddressingFunction addressing_;
-  Agu agu_;
   BankArray banks_;
   PlanCache plan_cache_;
-  bool use_plan_cache_ = true;
-  mutable Scratch scratch_;
-  Scratch write_scratch_;          // read_write's concurrent write plan
-  std::vector<Scratch> mt_scratch_;  // read_batch_mt: one per participant
+  Routed read_side_;
+  Routed write_side_;
   std::vector<Word> copy_buf_;     // stream_copy_batch lane staging
   std::array<ExecSlot, kExecSlots> exec_slots_;
   std::size_t exec_victim_ = 0;    // next slot a fresh compile lands in
-  // Per-call kernel argument tables for multi-residue batches (reserved
-  // once; bounded by kMaxTables and the port count — see exec_plan.hpp).
+  // Per-call kernel argument tables for multi-residue batches: resized to
+  // the plan's table count, so they grow to the widest batch seen and are
+  // then reused without allocating.
   std::vector<const std::uintptr_t*> table_lane_scratch_;
   std::vector<const std::uintptr_t*> table_bank_scratch_;
   std::vector<const std::uint32_t*> table_lfb_scratch_;
-  // read_batch_mt: per-port gather tables, [port][table] flattened,
-  // built serially before the parallel region.
-  std::vector<const std::uintptr_t*> mt_table_scratch_;
   std::uint64_t parallel_reads_ = 0;
   std::uint64_t parallel_writes_ = 0;
 };

@@ -49,7 +49,7 @@ class BramBank {
 
   /// Bulk counter credit for accesses served through the compiled engine,
   /// which proves conflict-freedom per residue class at plan-build time
-  /// instead of per cycle (the same contract as BankArray::read_shared).
+  /// instead of per cycle.
   void add_bulk_reads(std::uint64_t n) { total_reads_ += n; }
   void add_bulk_writes(std::uint64_t n) { total_writes_ += n; }
 

@@ -10,9 +10,7 @@
 //
 // The PolyMem side of a transfer runs through the batched access engine
 // (PolyMem::read_batch / write_batch): the whole tile is one validated
-// AccessBatch replayed through the plan-template cache. The original
-// per-access path is kept behind set_batched(false) as the differential
-// reference (tests/maxsim/dma_test.cpp compares contents and stats).
+// AccessBatch executed as one compiled gather/scatter.
 #pragma once
 
 #include <cstdint>
@@ -84,12 +82,6 @@ class DmaEngine {
   Shape pick_shape(std::int64_t rows, std::int64_t cols,
                    access::Coord origin) const;
 
-  /// Toggles the batched engine (default on). The legacy per-access path
-  /// is the differential-test reference; both produce identical memory
-  /// contents and DmaStats.
-  void set_batched(bool batched) { batched_ = batched; }
-  bool batched() const { return batched_; }
-
   /// Points the engine at a different PolyMem (same LMem). The adaptive
   /// layout engine swaps the on-chip memory under a live cache at
   /// migration cutover; transfer shapes re-derive from the new scheme on
@@ -111,7 +103,6 @@ class DmaEngine {
 
   LMem* lmem_;
   core::PolyMem* mem_;
-  bool batched_ = true;
   std::vector<hw::Word> stage_;  ///< tile burst buffer (reused)
   std::vector<hw::Word> block_;  ///< rect-order staging (reused)
 };

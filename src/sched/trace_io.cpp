@@ -153,6 +153,13 @@ TraceOp parse_op(const std::vector<std::string>& tok, int line) {
   }
   if (i != tok.size())
     throw TraceParseError(line, "trailing junk '" + tok[i] + "'");
+  // A last anchor past int64 would wrap back into the address space.
+  std::int64_t span = 0, last = 0;
+  if (__builtin_mul_overflow(op.count - 1, op.stride.i, &span) ||
+      __builtin_add_overflow(op.anchor.i, span, &last) ||
+      __builtin_mul_overflow(op.count - 1, op.stride.j, &span) ||
+      __builtin_add_overflow(op.anchor.j, span, &last))
+    throw TraceParseError(line, "count x stride overflows the anchor");
   return op;
 }
 
@@ -283,8 +290,11 @@ HostReplay host_replay(const RecordedTrace& trace) {
   result.checksums.reserve(trace.ops.size());
   for (std::size_t k = 0; k < trace.ops.size(); ++k) {
     const TraceOp& op = trace.ops[k];
+    std::int64_t op_words = 0;
+    POLYMEM_REQUIRE(!__builtin_mul_overflow(op.count, lanes, &op_words),
+                    "trace op count x lanes overflows int64");
     words.clear();
-    words.reserve(static_cast<std::size_t>(op.count * lanes));
+    words.reserve(static_cast<std::size_t>(op_words));
     for (std::int64_t t = 0; t < op.count; ++t) {
       const ParallelAccess a{op.kind,
                              {op.anchor.i + t * op.stride.i,

@@ -264,18 +264,17 @@ void ServiceEngine::execute_run(unsigned queue_port,
   }
   const unsigned port = queue_port % mem_->config().read_ports;
   PendingBatch pending = take_batch_buffer();
-  const bool compiled = n >= 2 && mem_->compile_batch(exec, plan_);
+  // A run of one request is a single access; longer runs compile to one
+  // gather/scatter.
+  const bool compiled = n >= 2;
+  if (compiled) mem_->compile_batch(exec, plan_);
   if (op == Op::kRead) {
     pending.data.resize(n * lanes);
     const std::span<Word> out(pending.data);
-    if (compiled) {
+    if (compiled)
       mem_->read_compiled(plan_, port, out);
-    } else {
-      for (std::size_t t = 0; t < n; ++t) {
-        mem_->read_into(exec.access(static_cast<std::int64_t>(t)), port,
-                        out.subspan(t * lanes, lanes));
-      }
-    }
+    else
+      mem_->read_into(exec.access(0), port, out);
   } else {
     write_staging_.clear();
     for (const PendingRequest& pr : run_) {
@@ -283,14 +282,10 @@ void ServiceEngine::execute_run(unsigned queue_port,
                             pr.request.payload.end());
     }
     const std::span<const Word> data(write_staging_);
-    if (compiled) {
+    if (compiled)
       mem_->write_compiled(plan_, data);
-    } else {
-      for (std::size_t t = 0; t < n; ++t) {
-        mem_->write(exec.access(static_cast<std::int64_t>(t)),
-                    data.subspan(t * lanes, lanes));
-      }
-    }
+    else
+      mem_->write(exec.access(0), data);
     if (dirty_frame >= 0) cache_->mark_dirty(dirty_frame);
   }
   if (compiled) {

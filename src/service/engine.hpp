@@ -11,9 +11,8 @@
 //    into the engine's own ExecPlan (PolyMem::compile_batch), so one
 //    compiled gather/scatter serves the whole run — the 8.7-8.9 ns/access
 //    SIMD path (BENCH_core.json) amortized over many requests instead of
-//    idling between synchronous read_batch calls. Runs of one request,
-//    and runs the plan cache cannot serve, fall back to the per-access
-//    plan-template path (read_into); results are identical either way.
+//    idling between synchronous read_batch calls. A run of one request
+//    is served as a single access (read_into / write) instead.
 //  - *In-flight tracking.* Executed runs enter a cycle-ordered
 //    std::multimap keyed by modeled completion cycle (issue cycle +
 //    config read_latency, + a miss penalty when a tile-cached engine
@@ -88,7 +87,7 @@ struct EngineStats {
   std::uint64_t drained_requests = 0;   ///< requests inside those batches
   std::uint64_t compiled_runs = 0;      ///< runs served by one ExecPlan
   std::uint64_t compiled_requests = 0;  ///< requests inside compiled runs
-  std::uint64_t fallback_accesses = 0;  ///< per-access path (incl. singletons)
+  std::uint64_t fallback_accesses = 0;  ///< single-request runs (no compile)
   std::uint64_t tile_misses = 0;        ///< tile-cached mode only
   std::uint64_t max_queue_depth = 0;    ///< high water over all ports
   std::uint64_t max_in_flight = 0;      ///< requests awaiting completion

@@ -231,8 +231,8 @@ std::optional<Violation> check_template_agreement(
   const maf::Maf maf(config.scheme, config.p, config.q);
   const maf::AddressingFunction addressing(config.p, config.q, config.height,
                                            config.width);
+  if (!core::PlanCache::fits(maf)) return std::nullopt;  // no templates
   core::PlanCache cache(config, maf, addressing);
-  if (!cache.enabled()) return std::nullopt;  // nothing cached to verify
   const core::Agu agu(config, maf, addressing);
   const std::int64_t pi = cache.period_i();
   const std::int64_t pj = cache.period_j();

@@ -1,8 +1,7 @@
 // Heap discipline of the batched access engine: after one warm-up pass
 // (templates built, ExecPlans compiled, scratch sized), read_batch /
 // write_batch / stream_copy_batch perform ZERO heap allocations per
-// call, and read_batch_mt allocates per *invocation* (task plumbing),
-// never per access. Verified by counting global operator new calls —
+// call. Verified by counting global operator new calls —
 // including the aligned forms the compiled engine's cache-line-aligned
 // SoA tables (core/simd/aligned.hpp) go through.
 #include <gtest/gtest.h>
@@ -14,7 +13,6 @@
 
 #include "common/units.hpp"
 #include "core/polymem.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace {
 
@@ -134,47 +132,23 @@ TEST(BatchAllocation, ExecPlanRecompileReusesCapacity) {
   EXPECT_EQ(allocs, 0u);
 }
 
-TEST(BatchAllocation, NaiveEngineSteadyStateAlsoAllocationFree) {
+// Single accesses take the same validation and the same templates as
+// batches: after warm-up, read_into / write / read_write allocate nothing.
+TEST(BatchAllocation, SingleAccessSteadyStateAllocatesNothing) {
   const auto cfg =
-      PolyMemConfig::with_capacity(64 * KiB, maf::Scheme::kReRo, 2, 4);
+      PolyMemConfig::with_capacity(64 * KiB, maf::Scheme::kRoCo, 2, 4);
   PolyMem mem(cfg);
-  mem.set_plan_cache_enabled(false);
-  const auto lanes = static_cast<std::int64_t>(cfg.lanes());
-  const AccessBatch batch = AccessBatch::strided(
-      PatternKind::kRow, {0, 0}, {0, lanes}, cfg.width / lanes);
-  std::vector<Word> buf(static_cast<std::size_t>(batch.count()) * lanes);
-  mem.read_batch(batch, 0, buf);
-  EXPECT_EQ(count_allocations([&] { mem.read_batch(batch, 0, buf); }), 0u);
-}
-
-TEST(BatchAllocation, MtReadAllocatesPerCallNotPerAccess) {
-  const auto cfg =
-      PolyMemConfig::with_capacity(64 * KiB, maf::Scheme::kReRo, 2, 4, 2);
-  PolyMem mem(cfg);
-  const auto lanes = static_cast<std::int64_t>(cfg.lanes());
-  const AccessBatch small{PatternKind::kRow, {0, 0}, {0, lanes},
-                          cfg.width / lanes,  {1, 0}, cfg.height / 8};
-  const AccessBatch large{PatternKind::kRow, {0, 0}, {0, lanes},
-                          cfg.width / lanes,  {1, 0}, cfg.height};
-  std::vector<Word> buf(static_cast<std::size_t>(large.count()) * lanes);
-  runtime::ThreadPool pool(3);
-
-  // Warm-up both shapes (templates + per-participant scratch).
-  mem.read_batch_mt(small, pool,
-                    std::span<Word>(buf).first(
-                        static_cast<std::size_t>(small.count()) * lanes));
-  mem.read_batch_mt(large, pool, buf);
-
-  // 8x the accesses must not mean more allocations: task plumbing is
-  // per-invocation, the per-access hot loop is allocation-free.
-  const std::uint64_t a_small = count_allocations([&] {
-    mem.read_batch_mt(small, pool,
-                      std::span<Word>(buf).first(
-                          static_cast<std::size_t>(small.count()) * lanes));
-  });
-  const std::uint64_t a_large =
-      count_allocations([&] { mem.read_batch_mt(large, pool, buf); });
-  EXPECT_LE(a_large, a_small + 4);  // scheduling jitter tolerance, not O(n)
+  std::vector<Word> out(cfg.lanes()), data(cfg.lanes(), 7);
+  const auto walk = [&] {
+    for (std::int64_t j = 0; j + 8 <= cfg.width; j += 3) {
+      mem.read_into({PatternKind::kRow, {1, j}}, 0, out);
+      mem.write({PatternKind::kRow, {2, j}}, data);
+      mem.read_write({PatternKind::kRect, {4, 0}}, 0, out,
+                     {PatternKind::kRow, {3, j}}, data);
+    }
+  };
+  walk();  // warm-up: every residue class's template
+  EXPECT_EQ(count_allocations(walk), 0u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "common/error.hpp"
 #include "core/access_batch.hpp"
 #include "core/polymem.hpp"
 
@@ -77,7 +78,7 @@ TEST(CompiledEntryPoints, ReadCompiledMatchesReadBatch) {
   const auto n = static_cast<std::size_t>(batch.count()) * mem.lanes();
 
   ExecPlan plan;
-  ASSERT_TRUE(mem.compile_batch(batch, plan));
+  mem.compile_batch(batch, plan);
   std::vector<hw::Word> compiled(n);
   mem.read_compiled(plan, 1, compiled);
 
@@ -95,7 +96,7 @@ TEST(CompiledEntryPoints, CallerOwnedPlanRecompilesAcrossVaryingRuns) {
   for (std::int64_t count = 1; count <= 9; count += 4) {
     const AccessBatch batch =
         AccessBatch::strided(PatternKind::kRow, {0, count - 1}, {1, 1}, count);
-    ASSERT_TRUE(mem.compile_batch(batch, plan));
+    mem.compile_batch(batch, plan);
     const auto n = static_cast<std::size_t>(count) * mem.lanes();
     std::vector<hw::Word> compiled(n), reference(n);
     mem.read_compiled(plan, 0, compiled);
@@ -116,7 +117,7 @@ TEST(CompiledEntryPoints, TablePoolServesAlternatingResidueClasses) {
     for (std::int64_t i0 = 0; i0 < 4; ++i0) {
       const AccessBatch batch = AccessBatch::strided(
           PatternKind::kRow, {i0, (i0 * 4) % 16}, {3, 2}, 5);
-      ASSERT_TRUE(mem.compile_batch(batch, plan));
+      mem.compile_batch(batch, plan);
       const auto n = static_cast<std::size_t>(batch.count()) * mem.lanes();
       std::vector<hw::Word> compiled(n), reference(n);
       mem.read_compiled(plan, 0, compiled);
@@ -142,7 +143,7 @@ TEST(CompiledEntryPoints, PlanMigratesBetweenMemories) {
   const auto n = static_cast<std::size_t>(batch.count()) * a.lanes();
   ExecPlan plan;
   for (PolyMem* mem : {&a, &b, &a}) {
-    ASSERT_TRUE(mem->compile_batch(batch, plan));
+    mem->compile_batch(batch, plan);
     std::vector<hw::Word> compiled(n), reference(n);
     mem->read_compiled(plan, 0, compiled);
     mem->read_batch(batch, 0, reference);
@@ -162,7 +163,7 @@ TEST(CompiledEntryPoints, WriteCompiledMatchesWriteBatch) {
   }
 
   ExecPlan plan;
-  ASSERT_TRUE(a.compile_batch(batch, plan));
+  a.compile_batch(batch, plan);
   a.write_compiled(plan, data);
   b.write_batch(batch, data);
 
@@ -173,13 +174,28 @@ TEST(CompiledEntryPoints, WriteCompiledMatchesWriteBatch) {
   }
 }
 
-TEST(CompiledEntryPoints, CompileFailsWhenPlanCacheDisabled) {
+TEST(CompiledEntryPoints, CompileRejectsInvalidBatchesOnly) {
+  // compile_batch validates exactly like read_batch and, once a batch is
+  // valid, always yields a usable plan — there is no fallback to signal.
   PolyMem mem(cfg());
-  mem.set_plan_cache_enabled(false);
   ExecPlan plan;
-  const AccessBatch batch =
-      AccessBatch::strided(PatternKind::kRow, {0, 0}, {1, 0}, 4);
-  EXPECT_FALSE(mem.compile_batch(batch, plan));
+  EXPECT_THROW(
+      mem.compile_batch(AccessBatch::strided(PatternKind::kRow,
+                                             {0, mem.config().width - 1},
+                                             {1, 0}, 2),
+                        plan),
+      InvalidArgument);
+  mem.compile_batch(AccessBatch::strided(PatternKind::kRow, {0, 0}, {1, 0},
+                                         0),
+                    plan);
+  EXPECT_EQ(plan.count(), 0);
+  std::vector<hw::Word> none;
+  mem.read_compiled(plan, 0, none);
+  EXPECT_EQ(mem.parallel_reads(), 0u);
+  mem.compile_batch(AccessBatch::strided(PatternKind::kRow, {0, 0}, {1, 0},
+                                         3),
+                    plan);
+  EXPECT_EQ(plan.count(), 3);
 }
 
 TEST(CompiledEntryPoints, AccountsBulkAccessCounters) {
@@ -188,7 +204,7 @@ TEST(CompiledEntryPoints, AccountsBulkAccessCounters) {
   const AccessBatch batch =
       AccessBatch::strided(PatternKind::kRow, {0, 0}, {1, 0}, 6);
   ExecPlan plan;
-  ASSERT_TRUE(mem.compile_batch(batch, plan));
+  mem.compile_batch(batch, plan);
   std::vector<hw::Word> out(static_cast<std::size_t>(batch.count()) *
                             mem.lanes());
   const std::uint64_t reads0 = mem.parallel_reads();

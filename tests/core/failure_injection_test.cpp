@@ -5,10 +5,11 @@
 #include <gtest/gtest.h>
 
 #include "common/units.hpp"
+#include "core/agu.hpp"
 #include "core/banks.hpp"
 #include "core/cycle_polymem.hpp"
 #include "core/polymem.hpp"
-#include "core/shuffle.hpp"
+#include "support/shuffle.hpp"
 
 namespace polymem::core {
 namespace {
@@ -27,7 +28,8 @@ TEST(FailureInjection, ConflictingBankVectorStoppedAtTheShuffle) {
   // Layer 2: a corrupted (non-permutation) bank select — as a broken MAF
   // would produce — is rejected by the crossbar's permutation check.
   PolyMem mem(PolyMemConfig::with_capacity(4 * KiB, maf::Scheme::kReRo, 2, 4));
-  AccessPlan plan = mem.agu().expand({PatternKind::kRow, {0, 0}});
+  const Agu agu(mem.config(), mem.maf(), mem.addressing());
+  AccessPlan plan = agu.expand({PatternKind::kRow, {0, 0}});
   plan.bank[3] = plan.bank[2];  // two lanes claim the same bank
   std::vector<std::int64_t> per_bank_addr(8);
   EXPECT_THROW(address_shuffle(plan, per_bank_addr), InvalidArgument);

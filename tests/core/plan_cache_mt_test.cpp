@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "core/exec_plan.hpp"
 #include "core/plan_cache.hpp"
 #include "core/polymem.hpp"
 #include "runtime/thread_pool.hpp"
@@ -53,7 +54,6 @@ TEST(PlanCacheMt, HammeredLookupsMatchSerialReference) {
     const PolyMemConfig cfg = test_config(scheme, p, q);
     PolyMem mem(cfg);
     PlanCache& cache = mem.plan_cache();
-    ASSERT_TRUE(cache.enabled());
 
     // The anchor script every thread replays (mixed kinds, strided walk
     // cycling the residue classes, plus rejects: unsupported anchors and
@@ -104,34 +104,53 @@ TEST(PlanCacheMt, HammeredLookupsMatchSerialReference) {
   }
 }
 
-TEST(PlanCacheMt, ConcurrentLookupsDuringParallelBatchRead) {
-  // The integrated race: read_batch_mt drives lookups from pool workers
-  // while the main thread keeps issuing its own lookups.
+TEST(PlanCacheMt, ConcurrentLookupsDuringParallelBatchCompile) {
+  // The integrated race: pool workers compile the same batch into their
+  // own ExecPlans against one fresh cache (racing template builds) while
+  // other tasks issue plain lookups; every plan must equal the serial one.
   const PolyMemConfig cfg = test_config(maf::Scheme::kReRo, 2, 4);
-  PolyMem mem(cfg);
-  for (std::int64_t i = 0; i < cfg.height; ++i)
-    for (std::int64_t j = 0; j < cfg.width; ++j)
-      mem.store({i, j}, static_cast<Word>(i * cfg.width + j));
+  const AccessBatch batch{PatternKind::kRow, {0, 0},
+                          {0, 3},            cfg.width / 3 - 2,
+                          {1, 0},            cfg.height};
+  PolyMem reference(cfg);
+  BankArray banks(cfg.lanes(), cfg.read_ports, cfg.words_per_bank());
+  ExecPlan want;
+  want.compile(batch, reference.plan_cache(), banks, cfg.lanes());
 
   runtime::ThreadPool pool(4);
-  const AccessBatch batch{PatternKind::kRow, {0, 0},
-                          {0, static_cast<std::int64_t>(cfg.lanes())},
-                          cfg.width / cfg.lanes(),
-                          {1, 0},
-                          cfg.height};
-  std::vector<Word> serial(static_cast<std::size_t>(batch.count()) *
-                           cfg.lanes());
-  mem.read_batch(batch, 0, serial);
-
-  std::vector<Word> parallel(serial.size());
-  PlanCache::Memo memo;
-  for (int rep = 0; rep < 5; ++rep) {
-    mem.read_batch_mt(batch, pool, parallel);
-    std::int64_t delta = 0;
-    // Foreground lookups interleaved with the worker lookups.
-    for (std::int64_t i = 0; i + cfg.p <= cfg.height; i += 7)
-      mem.plan_cache().lookup({PatternKind::kRow, {i, 0}}, delta, memo);
-    ASSERT_EQ(parallel, serial) << "rep " << rep;
+  constexpr int kTasks = 8;
+  for (int rep = 0; rep < 3; ++rep) {
+    PolyMem mem(cfg);
+    std::vector<ExecPlan> plans(kTasks);
+    runtime::parallel_for(
+        pool, 0, kTasks,
+        [&](std::int64_t task, unsigned) {
+          if (task % 2 == 0) {
+            plans[static_cast<std::size_t>(task)].compile(
+                batch, mem.plan_cache(), banks, cfg.lanes());
+            return;
+          }
+          PlanCache::Memo memo;
+          std::int64_t delta = 0;
+          for (std::int64_t t = batch.count() - 1; t >= 0; t -= 5)
+            mem.plan_cache().lookup(batch.access(t), delta, memo);
+        },
+        1);
+    for (int task = 0; task < kTasks; task += 2) {
+      const ExecPlan& got = plans[static_cast<std::size_t>(task)];
+      ASSERT_EQ(got.count(), want.count());
+      ASSERT_EQ(got.table_count(), want.table_count());
+      for (std::int64_t t = 0; t < want.count(); ++t) {
+        ASSERT_EQ(got.delta()[t], want.delta()[t]) << "rep " << rep;
+        // Templates are per cache, so compare what they hold.
+        const PlanTemplate& a = *got.table(got.tmpl_of()[t]).tmpl;
+        const PlanTemplate& b = *want.table(want.tmpl_of()[t]).tmpl;
+        ASSERT_EQ(a.bank, b.bank) << "rep " << rep << " access " << t;
+        ASSERT_EQ(a.bank_addr0, b.bank_addr0);
+      }
+    }
+    const auto stats = mem.plan_cache().stats();
+    EXPECT_EQ(stats.builds, stats.templates);  // each class built once
   }
 }
 

@@ -1,8 +1,8 @@
 // Differential tests of the plan-template cache and the batched access
 // engine: for every scheme x supported pattern x an anchor sweep covering
-// more than one MAF period, the cached/batched path must produce bitwise
-// identical plans and read/write results to the naive AGU path. This is
-// the correctness gate for the whole fast path.
+// more than one MAF period, PolyMem must produce bitwise identical plans
+// and read/write results to the naive AGU oracle (tests/support). This is
+// the correctness gate for the whole execution path.
 #include "core/plan_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -13,8 +13,10 @@
 
 #include "common/error.hpp"
 #include "common/math.hpp"
+#include "core/agu.hpp"
 #include "core/polymem.hpp"
 #include "maf/conflict.hpp"
+#include "support/naive_polymem.hpp"
 
 namespace polymem::core {
 namespace {
@@ -69,7 +71,8 @@ std::vector<Coord> sweep_anchors(const PolyMemConfig& cfg,
   return anchors;
 }
 
-void fill_deterministic(PolyMem& mem) {
+template <typename Mem>
+void fill_deterministic(Mem& mem) {
   std::vector<Word> values(
       static_cast<std::size_t>(mem.config().height * mem.config().width));
   for (std::size_t k = 0; k < values.size(); ++k)
@@ -82,14 +85,14 @@ TEST(PlanCache, TemplatesMatchNaivePlansEverywhere) {
     for (Geometry g : kGeometries) {
       const PolyMemConfig cfg = make_config(scheme, g);
       PolyMem mem(cfg);
-      ASSERT_TRUE(mem.plan_cache().enabled());
+      const Agu agu(mem.config(), mem.maf(), mem.addressing());
       for (PatternKind kind : access::kAllPatterns) {
         const SupportLevel level = mem.supports(kind);
         if (level == SupportLevel::kNone) continue;
         for (const Coord& anchor :
              sweep_anchors(cfg, mem.maf(), kind, level)) {
           const ParallelAccess acc{kind, anchor};
-          const AccessPlan naive = mem.agu().expand(acc);
+          const AccessPlan naive = agu.expand(acc);
           std::int64_t delta = 0;
           const PlanTemplate* t = mem.plan_cache().lookup(acc, delta);
           ASSERT_NE(t, nullptr)
@@ -118,8 +121,7 @@ TEST(PlanCache, CachedReadsMatchNaiveReads) {
     for (Geometry g : kGeometries) {
       const PolyMemConfig cfg = make_config(scheme, g);
       PolyMem cached(cfg);
-      PolyMem naive(cfg);
-      naive.set_plan_cache_enabled(false);
+      NaivePolyMem naive(cfg);
       fill_deterministic(cached);
       fill_deterministic(naive);
       std::vector<Word> a(cfg.lanes()), b(cfg.lanes());
@@ -144,8 +146,7 @@ TEST(PlanCache, CachedWritesMatchNaiveWrites) {
     for (Geometry g : kGeometries) {
       const PolyMemConfig cfg = make_config(scheme, g);
       PolyMem cached(cfg);
-      PolyMem naive(cfg);
-      naive.set_plan_cache_enabled(false);
+      NaivePolyMem naive(cfg);
       std::vector<Word> data(cfg.lanes());
       std::uint64_t seed = 1;
       for (PatternKind kind : access::kAllPatterns) {
@@ -172,8 +173,7 @@ TEST(PlanCache, CachedWritesMatchNaiveWrites) {
 TEST(PlanCache, ErrorsMatchNaivePath) {
   PolyMemConfig cfg = make_config(Scheme::kRoCo, {2, 4});
   PolyMem cached(cfg);
-  PolyMem naive(cfg);
-  naive.set_plan_cache_enabled(false);
+  NaivePolyMem naive(cfg);
   std::vector<Word> out(cfg.lanes());
   // RoCo serves rectangles only at aligned anchors.
   ASSERT_EQ(cached.supports(PatternKind::kRect), SupportLevel::kAligned);
@@ -195,6 +195,25 @@ TEST(PlanCache, ErrorsMatchNaivePath) {
     EXPECT_THROW(naive.read_into({PatternKind::kTRect, {0, 0}}, 0, out),
                  Unsupported);
   }
+}
+
+TEST(PlanCache, RejectsGeometriesBeyondTheTemplateBudget) {
+  // RoCo 16x16: periods 256 x 256, so 6 pattern kinds could need 393216
+  // templates — more than the cache keys. Rejected when the PolyMem is
+  // built, so no lookup on a live memory can ever come back empty.
+  PolyMemConfig big;
+  big.scheme = Scheme::kRoCo;
+  big.p = 16;
+  big.q = 16;
+  big.height = 256;
+  big.width = 256;
+  big.validate();
+  EXPECT_FALSE(PlanCache::fits(maf::Maf(big.scheme, big.p, big.q)));
+  EXPECT_THROW(PolyMem{big}, InvalidArgument);
+  // Every geometry the sweeps above use fits.
+  for (Scheme scheme : maf::kAllSchemes)
+    for (Geometry g : kGeometries)
+      EXPECT_TRUE(PlanCache::fits(maf::Maf(scheme, g.p, g.q)));
 }
 
 TEST(PlanCache, TemplateCountIsBoundedByResidueClasses) {
@@ -316,29 +335,29 @@ TEST(BatchEngine, ValidatesOnceAndRejectsBadBatches) {
                                           3),
                      0, out),
       InvalidArgument);
+  // Counts so large that the last anchor's j wraps around int64 back into
+  // range (4 * 2^62 == 0 mod 2^64): rejected before any word is written.
+  PolyMemConfig rero;
+  rero.scheme = Scheme::kReRo;
+  rero.p = 2;
+  rero.q = 4;
+  rero.height = 16;
+  rero.width = 8;
+  PolyMem wide(rero);
+  std::vector<Word> small(rero.lanes(), 0);
+  AccessBatch wrap = AccessBatch::strided(PatternKind::kRect, {0, 0}, {0, 4},
+                                          (std::int64_t{1} << 62) + 1);
+  EXPECT_THROW(wide.read_batch(wrap, 0, small), InvalidArgument);
+  EXPECT_THROW(wide.write_batch(wrap, small), InvalidArgument);
+  ExecPlan plan;
+  EXPECT_THROW(wide.compile_batch(wrap, plan), InvalidArgument);
+  wrap.outer_count = 3;  // count() itself overflows
+  EXPECT_THROW(wide.read_batch(wrap, 0, small), InvalidArgument);
+  EXPECT_EQ(wide.parallel_reads() + wide.parallel_writes(), 0u);
   // An empty batch is a no-op.
   mem.read_batch(AccessBatch::strided(PatternKind::kRow, {0, 0}, {1, 0}, 0),
                  0, std::span<Word>());
   EXPECT_EQ(mem.parallel_reads(), 0u);
-}
-
-TEST(BatchEngine, BatchWorksWithPlanCacheDisabled) {
-  const PolyMemConfig cfg = make_config(Scheme::kReRo, {2, 4});
-  PolyMem mem(cfg);
-  mem.set_plan_cache_enabled(false);
-  fill_deterministic(mem);
-  const AccessBatch batch{PatternKind::kRow, {0, 0},
-                          {0, static_cast<std::int64_t>(cfg.lanes())},
-                          cfg.width / cfg.lanes(), {1, 0},
-                          cfg.height};
-  std::vector<Word> bulk(
-      static_cast<std::size_t>(batch.count()) * cfg.lanes());
-  mem.read_batch(batch, 0, bulk);  // naive fallback per access
-  std::vector<Word> expect(
-      static_cast<std::size_t>(cfg.height) * static_cast<std::size_t>(cfg.width));
-  mem.dump_rect({0, 0}, cfg.height, cfg.width, expect);
-  EXPECT_EQ(bulk, expect);
-  EXPECT_EQ(mem.plan_cache().hits(), 0u);
 }
 
 }  // namespace

@@ -1,18 +1,22 @@
 // Differential gate of the compiled SIMD execution engine
 // (core/exec_plan.hpp + core/simd/): for every scheme x geometry x
 // supported pattern, the compiled path — at every kernel level the host
-// supports — must be bit-identical to the interpreted per-access engine
-// for read_batch, write_batch and read_batch_mt. A forced-scalar
-// dispatch test keeps the fallback kernels exercised on AVX2 hosts.
+// supports — must be bit-identical to the naive per-access oracle
+// (tests/support) for read_batch, write_batch and the compile_batch entry
+// points. Full sweeps span every residue class, more than 64 of them on
+// 4x4, so the multi-table kernels run with a wide table pool. A
+// forced-scalar dispatch test keeps the scalar kernels exercised on AVX2
+// hosts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "common/units.hpp"
 #include "core/polymem.hpp"
 #include "core/simd/dispatch.hpp"
-#include "runtime/thread_pool.hpp"
+#include "support/naive_polymem.hpp"
 
 namespace polymem::core {
 namespace {
@@ -53,7 +57,8 @@ PolyMemConfig make_config(Scheme scheme, Geometry g) {
   return PolyMemConfig::with_capacity(16 * KiB, scheme, g.p, g.q);
 }
 
-void fill_deterministic(PolyMem& mem) {
+template <typename Mem>
+void fill_deterministic(Mem& mem) {
   const auto& cfg = mem.config();
   std::vector<Word> values(static_cast<std::size_t>(cfg.height) * cfg.width);
   for (std::size_t k = 0; k < values.size(); ++k)
@@ -64,8 +69,8 @@ void fill_deterministic(PolyMem& mem) {
 // A batch of every in-bounds anchor of `kind` (p/q-aligned when the
 // scheme only serves aligned anchors) — covers every residue class, so
 // both the uniform and the multi-table kernel paths run.
-AccessBatch full_sweep(const PolyMemConfig& cfg, const PolyMem& mem,
-                       PatternKind kind, SupportLevel level) {
+AccessBatch full_sweep(const PolyMemConfig& cfg, PatternKind kind,
+                       SupportLevel level) {
   const auto ext =
       access::pattern_extent(kind, cfg.p, cfg.q);
   const std::int64_t step_i =
@@ -79,28 +84,35 @@ AccessBatch full_sweep(const PolyMemConfig& cfg, const PolyMem& mem,
   if (level == SupportLevel::kAligned && start_j % cfg.q != 0)
     start_j += cfg.q - start_j % cfg.q;
   const std::int64_t cols = (max_j - start_j) / step_j + 1;
-  (void)mem;
   return {kind, {0, start_j}, {0, step_j}, cols, {step_i, 0}, rows};
 }
+
+// A 4x4 full sweep must span more residue classes than this, so the
+// compiled path is covered with table pools wider than 64.
+constexpr std::size_t kWideTables = 64;
 
 TEST(SimdExec, ReadBatchBitIdenticalAcrossLevels) {
   LevelGuard guard;
   const auto levels = host_levels();
+  std::size_t widest_4x4 = 0;
   for (Scheme scheme : maf::kAllSchemes) {
     for (Geometry g : kGeometries) {
       const PolyMemConfig cfg = make_config(scheme, g);
       PolyMem compiled(cfg);
-      PolyMem interpreted(cfg);
-      interpreted.set_plan_cache_enabled(false);
+      NaivePolyMem oracle(cfg);
       fill_deterministic(compiled);
-      fill_deterministic(interpreted);
+      fill_deterministic(oracle);
       for (PatternKind kind : access::kAllPatterns) {
         const SupportLevel level = compiled.supports(kind);
         if (level == SupportLevel::kNone) continue;
-        const AccessBatch batch = full_sweep(cfg, compiled, kind, level);
+        const AccessBatch batch = full_sweep(cfg, kind, level);
         std::vector<Word> want(
             static_cast<std::size_t>(batch.count()) * cfg.lanes());
-        interpreted.read_batch(batch, 0, want);
+        oracle.read_batch(batch, 0, want);
+        ExecPlan plan;
+        compiled.compile_batch(batch, plan);
+        if (g.p == 4 && g.q == 4)
+          widest_4x4 = std::max(widest_4x4, plan.table_count());
         std::vector<Word> got(want.size());
         for (simd::Level l : levels) {
           simd::force_level(l);
@@ -110,27 +122,34 @@ TEST(SimdExec, ReadBatchBitIdenticalAcrossLevels) {
               << maf::scheme_name(scheme) << " " << g.p << "x" << g.q << " "
               << access::pattern_name(kind) << " level "
               << simd::level_name(l);
+          got.assign(got.size(), 0);
+          compiled.read_compiled(plan, 0, got);
+          ASSERT_EQ(got, want)
+              << "compile_batch: " << maf::scheme_name(scheme) << " " << g.p
+              << "x" << g.q << " " << access::pattern_name(kind)
+              << " level " << simd::level_name(l);
         }
       }
     }
   }
+  EXPECT_GT(widest_4x4, kWideTables);
 }
 
 TEST(SimdExec, WriteBatchBitIdenticalAcrossLevels) {
   LevelGuard guard;
   const auto levels = host_levels();
+  std::size_t widest_4x4 = 0;
   for (Scheme scheme : maf::kAllSchemes) {
     for (Geometry g : kGeometries) {
       const PolyMemConfig cfg = make_config(scheme, g);
       for (PatternKind kind : access::kAllPatterns) {
         // Fresh, identically-seeded instances per pattern: sweeps that do
         // not cover every cell must still match on the untouched ones.
-        PolyMem interpreted(cfg);
-        interpreted.set_plan_cache_enabled(false);
-        fill_deterministic(interpreted);
-        const SupportLevel level = interpreted.supports(kind);
+        NaivePolyMem oracle(cfg);
+        fill_deterministic(oracle);
+        const SupportLevel level = oracle.supports(kind);
         if (level == SupportLevel::kNone) continue;
-        const AccessBatch batch = full_sweep(cfg, interpreted, kind, level);
+        const AccessBatch batch = full_sweep(cfg, kind, level);
         std::vector<Word> data(
             static_cast<std::size_t>(batch.count()) * cfg.lanes());
         for (std::size_t k = 0; k < data.size(); ++k)
@@ -138,8 +157,8 @@ TEST(SimdExec, WriteBatchBitIdenticalAcrossLevels) {
         const std::size_t cells =
             static_cast<std::size_t>(cfg.height) * cfg.width;
         std::vector<Word> want(cells), got(cells);
-        interpreted.write_batch(batch, data);
-        interpreted.dump_rect({0, 0}, cfg.height, cfg.width, want);
+        oracle.write_batch(batch, data);
+        oracle.dump_rect({0, 0}, cfg.height, cfg.width, want);
         for (simd::Level l : levels) {
           simd::force_level(l);
           PolyMem compiled(cfg);
@@ -150,36 +169,23 @@ TEST(SimdExec, WriteBatchBitIdenticalAcrossLevels) {
               << maf::scheme_name(scheme) << " " << g.p << "x" << g.q << " "
               << access::pattern_name(kind) << " level "
               << simd::level_name(l);
+          PolyMem via_plan(cfg);
+          fill_deterministic(via_plan);
+          ExecPlan plan;
+          via_plan.compile_batch(batch, plan);
+          if (g.p == 4 && g.q == 4)
+            widest_4x4 = std::max(widest_4x4, plan.table_count());
+          via_plan.write_compiled(plan, data);
+          via_plan.dump_rect({0, 0}, cfg.height, cfg.width, got);
+          ASSERT_EQ(got, want)
+              << "compile_batch: " << maf::scheme_name(scheme) << " " << g.p
+              << "x" << g.q << " " << access::pattern_name(kind)
+              << " level " << simd::level_name(l);
         }
       }
     }
   }
-}
-
-TEST(SimdExec, ReadBatchMtBitIdenticalAcrossLevelsAndWorkerCounts) {
-  LevelGuard guard;
-  const auto levels = host_levels();
-  const PolyMemConfig cfg = PolyMemConfig::with_capacity(
-      64 * KiB, Scheme::kReRo, 2, 4, /*read_ports=*/2);
-  PolyMem mem(cfg);
-  fill_deterministic(mem);
-  const AccessBatch batch{PatternKind::kRow, {0, 0},
-                          {0, static_cast<std::int64_t>(cfg.lanes())},
-                          cfg.width / cfg.lanes(), {1, 0},
-                          cfg.height};
-  std::vector<Word> want(
-      static_cast<std::size_t>(batch.count()) * cfg.lanes());
-  mem.read_batch(batch, 0, want);
-  for (unsigned workers : {0u, 1u, 3u}) {
-    runtime::ThreadPool pool(workers);
-    for (simd::Level l : levels) {
-      simd::force_level(l);
-      std::vector<Word> got(want.size(), 0);
-      mem.read_batch_mt(batch, pool, got);
-      ASSERT_EQ(got, want) << workers << " workers, level "
-                           << simd::level_name(l);
-    }
-  }
+  EXPECT_GT(widest_4x4, kWideTables);
 }
 
 // Write-then-read round trip through the compiled engine at every level,

@@ -157,11 +157,11 @@ TEST(DmaStats, Accumulate) {
   EXPECT_EQ(a.cache.misses, 2u);
 }
 
-TEST(DmaEngine, BatchedPathMatchesLegacyPerAccessPath) {
-  // The batched engine (read_batch/write_batch through the plan cache)
-  // must move bits and account stats exactly like the original
-  // access-at-a-time loop, for every scheme and every shape the picker
-  // can choose.
+TEST(DmaEngine, TransfersMatchHostMirrorForEveryShape) {
+  // Every scheme x every shape the picker can choose: a loaded tile must
+  // hold exactly the LMem source words, a stored tile must land in LMem
+  // word for word, and the stats must charge one access per parallel
+  // access (or per element on the scalar path).
   struct Case {
     std::int64_t row, col, rows, cols;
     access::Coord origin;
@@ -177,43 +177,40 @@ TEST(DmaEngine, BatchedPathMatchesLegacyPerAccessPath) {
     for (const Case& c : cases) {
       SCOPED_TRACE(std::string(maf::scheme_name(scheme)) + " tile " +
                    std::to_string(c.rows) + "x" + std::to_string(c.cols));
-      LMem lmem_a(1 << 20);
-      LMem lmem_b(1 << 20);
-      core::PolyMem mem_a(pm_cfg(scheme));
-      core::PolyMem mem_b(pm_cfg(scheme));
-      DmaEngine batched(lmem_a, mem_a);
-      DmaEngine legacy(lmem_b, mem_b);
-      legacy.set_batched(false);
-      ASSERT_TRUE(batched.batched());
-      ASSERT_FALSE(legacy.batched());
-      const auto ma = make_matrix(lmem_a);
-      const auto mb = make_matrix(lmem_b);
+      LMem lmem(1 << 20);
+      core::PolyMem mem(pm_cfg(scheme));
+      DmaEngine dma(lmem, mem);
+      const auto m = make_matrix(lmem);
+      const auto words = static_cast<std::uint64_t>(c.rows * c.cols);
+      const std::uint64_t accesses =
+          dma.pick_shape(c.rows, c.cols, c.origin) ==
+                  DmaEngine::Shape::kScalar
+              ? words
+              : words / mem.lanes();
 
-      const auto sa = batched.load_tile(ma, c.row, c.col, c.rows, c.cols,
-                                        c.origin);
-      const auto sb = legacy.load_tile(mb, c.row, c.col, c.rows, c.cols,
-                                       c.origin);
-      EXPECT_EQ(sa.words, sb.words);
-      EXPECT_EQ(sa.polymem_accesses, sb.polymem_accesses);
-      EXPECT_EQ(sa.polymem_cycles, sb.polymem_cycles);
-      EXPECT_DOUBLE_EQ(sa.lmem_seconds, sb.lmem_seconds);
+      const auto in = dma.load_tile(m, c.row, c.col, c.rows, c.cols,
+                                    c.origin);
+      EXPECT_EQ(in.words, words);
+      EXPECT_EQ(in.polymem_accesses, accesses);
+      EXPECT_EQ(in.polymem_cycles, accesses);
+      EXPECT_GT(in.lmem_seconds, 0.0);
       for (std::int64_t i = 0; i < c.rows; ++i)
         for (std::int64_t j = 0; j < c.cols; ++j)
-          ASSERT_EQ(mem_a.load({c.origin.i + i, c.origin.j + j}),
-                    mem_b.load({c.origin.i + i, c.origin.j + j}))
+          ASSERT_EQ(mem.load({c.origin.i + i, c.origin.j + j}),
+                    static_cast<hw::Word>((c.row + i) * 1000 + c.col + j))
               << "loaded (" << i << "," << j << ")";
 
       // Round-trip: store the tile somewhere else and compare LMem.
-      const auto ra = batched.store_tile(ma, 48, 32, c.rows, c.cols, c.origin);
-      const auto rb = legacy.store_tile(mb, 48, 32, c.rows, c.cols, c.origin);
-      EXPECT_EQ(ra.polymem_accesses, rb.polymem_accesses);
-      EXPECT_DOUBLE_EQ(ra.lmem_seconds, rb.lmem_seconds);
-      std::vector<hw::Word> out_a(static_cast<std::size_t>(c.cols));
-      std::vector<hw::Word> out_b(static_cast<std::size_t>(c.cols));
+      const auto out = dma.store_tile(m, 48, 32, c.rows, c.cols, c.origin);
+      EXPECT_EQ(out.polymem_accesses, accesses);
+      EXPECT_DOUBLE_EQ(out.lmem_seconds, in.lmem_seconds);
+      std::vector<hw::Word> row(static_cast<std::size_t>(c.cols));
       for (std::int64_t i = 0; i < c.rows; ++i) {
-        lmem_a.read(ma.word_addr(48 + i, 32), out_a);
-        lmem_b.read(mb.word_addr(48 + i, 32), out_b);
-        ASSERT_EQ(out_a, out_b) << "stored row " << i;
+        lmem.read(m.word_addr(48 + i, 32), row);
+        for (std::int64_t j = 0; j < c.cols; ++j)
+          ASSERT_EQ(row[static_cast<std::size_t>(j)],
+                    static_cast<hw::Word>((c.row + i) * 1000 + c.col + j))
+              << "stored (" << i << "," << j << ")";
       }
     }
   }

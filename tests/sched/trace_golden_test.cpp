@@ -64,6 +64,14 @@ TEST(GoldenTrace, MalformedFixturesRaiseTypedErrors) {
   } catch (const TraceParseError& e) {
     EXPECT_EQ(e.line(), 5);
   }
+  // x(2^62 + 1) step 0,4: the last anchor's j wraps int64 back to 0.
+  EXPECT_THROW(parse_trace_file(data_path("malformed_count_overflow.trace")),
+               TraceParseError);
+  try {
+    parse_trace_file(data_path("malformed_count_overflow.trace"));
+  } catch (const TraceParseError& e) {
+    EXPECT_EQ(e.line(), 3);
+  }
 }
 
 }  // namespace

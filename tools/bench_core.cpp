@@ -1,7 +1,8 @@
 // Hot-path benchmark runner: measures the functional model's parallel-read
-// throughput on the naive AGU path, the plan-template cached path, and the
-// compiled batched engine — at the host's best SIMD level and with the
-// kernels forced scalar — and emits machine-readable JSON (BENCH_core.json)
+// throughput on the naive AGU path (the test oracle, tests/support),
+// PolyMem's single-access path (plan templates) and its compiled batched
+// engine — at the host's best SIMD level and with the kernels forced
+// scalar — and emits machine-readable JSON (BENCH_core.json)
 // so both the engine speedup and the SIMD contribution are tracked in the
 // repository. A roofline-style bytes/cycle figure per case shows how close
 // the gather loop runs to the load-port limit.
@@ -24,6 +25,7 @@
 #include "core/polymem.hpp"
 #include "core/simd/dispatch.hpp"
 #include "runtime/thread_pool.hpp"
+#include "support/naive_polymem.hpp"
 
 namespace {
 
@@ -99,9 +101,9 @@ struct Result {
   std::string scheme;
   unsigned p, q;
   std::string pattern;
-  double naive_ns, cached_ns, batched_ns, mt_ns;
+  double naive_ns, cached_ns, batched_ns;
   double scalar_ns, simd_ns;
-  double cached_speedup, batched_speedup, mt_speedup, simd_speedup;
+  double cached_speedup, batched_speedup, simd_speedup;
   double bytes_per_access, bytes_per_cycle;
 };
 
@@ -109,22 +111,23 @@ Result run_case(const Case& c) {
   const auto cfg =
       core::PolyMemConfig::with_capacity(256 * KiB, c.scheme, c.p, c.q);
   core::PolyMem mem(cfg);
+  core::NaivePolyMem naive(cfg);
   const Workload w = pick_workload(mem);
   const std::int64_t anchors = cfg.height / w.step_i;
   std::vector<core::Word> out(cfg.lanes());
 
-  auto walk = [&] {
-    std::int64_t i = 0;
-    for (std::int64_t n = 0; n < kAccessesPerTrial; ++n) {
-      mem.read_into({w.kind, {(i % anchors) * w.step_i, 0}}, 0, out);
-      ++i;
-    }
+  auto walk = [&](auto& m) {
+    return [&] {
+      std::int64_t i = 0;
+      for (std::int64_t n = 0; n < kAccessesPerTrial; ++n) {
+        m.read_into({w.kind, {(i % anchors) * w.step_i, 0}}, 0, out);
+        ++i;
+      }
+    };
   };
 
-  mem.set_plan_cache_enabled(false);
-  const double naive_ns = measure_ns(walk);
-  mem.set_plan_cache_enabled(true);
-  const double cached_ns = measure_ns(walk);
+  const double naive_ns = measure_ns(walk(naive));
+  const double cached_ns = measure_ns(walk(mem));
 
   // Batched engine: the same column of anchors as one AccessBatch,
   // repeated until ~kAccessesPerTrial accesses ran.
@@ -156,16 +159,6 @@ Result run_case(const Case& c) {
   const double bytes_per_cycle =
       ghz > 0.0 ? bytes_per_access / (simd_ns * ghz) : 0.0;
 
-  // Threaded variant of the batched engine (read_batch_mt over the
-  // parallel runtime, hardware-sized pool). Same workload, bit-identical
-  // output — see bench_parallel for the dedicated multi-port study.
-  runtime::ThreadPool pool(runtime::ThreadPool::hardware_threads() - 1);
-  auto batched_mt = [&] {
-    for (std::int64_t r = 0; r < reps; ++r)
-      mem.read_batch_mt(batch, pool, bulk);
-  };
-  const double mt_ns = measure_ns(batched_mt) / scale;
-
   return {maf::scheme_name(c.scheme),
           c.p,
           c.q,
@@ -173,12 +166,10 @@ Result run_case(const Case& c) {
           naive_ns,
           cached_ns,
           batched_ns,
-          mt_ns,
           scalar_ns,
           simd_ns,
           naive_ns / cached_ns,
           naive_ns / batched_ns,
-          naive_ns / mt_ns,
           scalar_ns / simd_ns,
           bytes_per_access,
           bytes_per_cycle};
@@ -192,6 +183,8 @@ void write_json(const std::vector<Result>& results, const std::string& path) {
      << "  \"unit\": \"ns_per_parallel_access\",\n"
      << "  \"accesses_per_trial\": " << kAccessesPerTrial << ",\n"
      << "  \"trials\": " << kTrials << ",\n"
+     << "  \"hardware_threads\": " << runtime::ThreadPool::hardware_threads()
+     << ",\n"
      << "  \"simd_level\": \""
      << core::simd::level_name(core::simd::detected_level()) << "\",\n"
      << "  \"cases\": [\n";
@@ -201,14 +194,12 @@ void write_json(const std::vector<Result>& results, const std::string& path) {
        << ", \"q\": " << r.q << ", \"pattern\": \"" << r.pattern << "\",\n"
        << "     \"naive_ns\": " << r.naive_ns
        << ", \"cached_ns\": " << r.cached_ns
-       << ", \"batched_ns\": " << r.batched_ns
-       << ", \"batched_mt_ns\": " << r.mt_ns << ",\n"
+       << ", \"batched_ns\": " << r.batched_ns << ",\n"
        << "     \"scalar_ns\": " << r.scalar_ns
        << ", \"simd_ns\": " << r.simd_ns
        << ", \"simd_speedup\": " << r.simd_speedup << ",\n"
        << "     \"cached_speedup\": " << r.cached_speedup
-       << ", \"batched_speedup\": " << r.batched_speedup
-       << ", \"batched_mt_speedup\": " << r.mt_speedup << ",\n"
+       << ", \"batched_speedup\": " << r.batched_speedup << ",\n"
        << "     \"bytes_per_access\": " << r.bytes_per_access
        << ", \"bytes_per_cycle\": " << r.bytes_per_cycle << "}"
        << (k + 1 < results.size() ? ",\n" : "\n");
@@ -228,7 +219,6 @@ int main(int argc, char** argv) {
               << "): naive " << r.naive_ns << " ns, cached " << r.cached_ns
               << " ns (" << r.cached_speedup << "x), batched "
               << r.batched_ns << " ns (" << r.batched_speedup
-              << "x), batched-mt " << r.mt_ns << " ns (" << r.mt_speedup
               << "x), scalar " << r.scalar_ns << " ns vs simd " << r.simd_ns
               << " ns (" << r.simd_speedup << "x), " << r.bytes_per_cycle
               << " B/cycle\n";
