@@ -213,6 +213,11 @@ struct BadCase {
   int line;
 };
 
+// Without this gtest prints BadCase as raw bytes, which include the
+// string pointers, so the listed test names (and the ctest names that
+// gtest_discover_tests derives from them) changed on every run under ASLR.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.label; }
+
 class TraceIoMalformed : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(TraceIoMalformed, ThrowsTypedParseError) {
