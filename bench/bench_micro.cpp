@@ -11,7 +11,6 @@
 #include "hw/benes.hpp"
 #include "hw/crossbar.hpp"
 #include "maf/maf.hpp"
-#include "maf/maf_table.hpp"
 #include "sched/scheduler.hpp"
 #include "support/naive_polymem.hpp"
 
@@ -29,19 +28,6 @@ void BM_MafBank(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MafBank)->DenseRange(0, 4)->ArgNames({"scheme"});
-
-void BM_MafTableBank(benchmark::State& state) {
-  // The tabulated fast path vs the analytic MAF above.
-  const maf::Maf maf(static_cast<maf::Scheme>(state.range(0)), 2, 4);
-  const maf::MafTable table(maf);
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.bank(i, i * 7 + 3));
-    ++i;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MafTableBank)->DenseRange(0, 4)->ArgNames({"scheme"});
 
 void BM_BenesRoute(benchmark::State& state) {
   // Route computation cost — the reason hardware uses crossbars.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "maf/conflict.hpp"
 
 namespace polymem::cache {
 
@@ -14,9 +13,7 @@ CachedMatrix::CachedMatrix(maxsim::LMem& lmem, core::PolyMem& mem,
                            const maxsim::LMemMatrix& matrix,
                            core::FramePool frames, CacheOptions options)
     : cache_(lmem, mem, matrix, frames, options),
-      lanes_(static_cast<std::int64_t>(mem.config().lanes())),
-      rows_any_anchor_(maf::probe_support(mem.maf(), PatternKind::kRow) ==
-                       maf::SupportLevel::kAny) {}
+      lanes_(static_cast<std::int64_t>(mem.config().lanes())) {}
 
 void CachedMatrix::check_block(std::int64_t i, std::int64_t j,
                                std::int64_t rows, std::int64_t cols,
@@ -29,8 +26,11 @@ void CachedMatrix::check_block(std::int64_t i, std::int64_t j,
                   "buffer does not match the block shape");
 }
 
-bool CachedMatrix::row_path(std::int64_t sub_cols) const {
-  return rows_any_anchor_ && sub_cols % lanes_ == 0;
+bool CachedMatrix::row_path(std::int64_t sub_cols) {
+  // Read through the cache: migrate() may have swapped the PolyMem.
+  return cache_.polymem().supports(PatternKind::kRow) ==
+             maf::SupportLevel::kAny &&
+         sub_cols % lanes_ == 0;
 }
 
 void CachedMatrix::read_block(std::int64_t i, std::int64_t j,

@@ -64,11 +64,10 @@ class CachedMatrix {
   void check_block(std::int64_t i, std::int64_t j, std::int64_t rows,
                    std::int64_t cols, std::size_t buffer) const;
   /// True when the sub-rect copy can use full-width row accesses.
-  bool row_path(std::int64_t sub_cols) const;
+  bool row_path(std::int64_t sub_cols);
 
   TileCache cache_;
   std::int64_t lanes_;
-  bool rows_any_anchor_;
 };
 
 }  // namespace polymem::cache

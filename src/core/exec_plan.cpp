@@ -90,12 +90,11 @@ void ExecPlan::compile(const AccessBatch& batch, PlanCache& cache,
   tmpl_of_.resize(static_cast<std::size_t>(count_));
   delta_.resize(static_cast<std::size_t>(count_));
 
-  PlanCache::Memo memo;
   std::int32_t last = -1;  // table index the previous access resolved to
   const auto resolve = [&](std::int64_t t,
                            const access::ParallelAccess& acc) {
     std::int64_t delta = 0;
-    const PlanTemplate* tmpl = cache.lookup(acc, delta, memo);
+    const PlanTemplate* tmpl = cache.lookup(acc, delta);
     POLYMEM_REQUIRE(tmpl != nullptr,
                     "ExecPlan::compile needs a validated batch");
     if (last < 0 || tables_[static_cast<std::size_t>(last)].tmpl != tmpl)

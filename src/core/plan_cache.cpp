@@ -1,7 +1,6 @@
 #include "core/plan_cache.hpp"
 
 #include <iterator>
-#include <mutex>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
@@ -13,14 +12,14 @@ using access::PatternKind;
 
 namespace {
 
-// Keying templates as (kind * Pi + ri) * Pj + rj must not overflow, and a
-// geometry with astronomically long periods would hash poorly anyway.
+// Keeps the product kinds * Pi * Pj in fits() far from overflowing.
 constexpr std::int64_t kMaxPeriod = std::int64_t{1} << 20;
 
 // Upper bound on the templates one geometry may need: one per pattern kind
-// per (ri, rj) residue pair. Geometries above it are rejected up front so
-// that lookup never has to refuse a valid access. The largest geometries
-// in use (16 lanes) need at most 6 * 2048 = 12288.
+// per (ri, rj) residue pair, which is also the size of the dense template
+// table. Geometries above it are rejected up front so that lookup never
+// has to refuse a valid access. The largest geometries in use (16 lanes)
+// need at most 6 * 2048 = 12288.
 constexpr std::int64_t kMaxTemplates = std::int64_t{1} << 16;
 
 }  // namespace
@@ -33,9 +32,8 @@ bool PlanCache::fits(const maf::Maf& maf) {
          kinds * pi * pj <= kMaxTemplates;
 }
 
-PlanCache::PlanCache(const PolyMemConfig& config, const maf::Maf& maf,
-                     const maf::AddressingFunction& addressing)
-    : config_(&config), maf_(&maf), addressing_(&addressing) {
+PlanCache::PlanCache(const PolyMemConfig& config, const maf::Maf& maf)
+    : config_(&config), maf_(&maf) {
   POLYMEM_REQUIRE(fits(maf),
                   "MAF periods of this geometry exceed the plan-template "
                   "budget");
@@ -46,9 +44,12 @@ PlanCache::PlanCache(const PolyMemConfig& config, const maf::Maf& maf,
   delta_i_ = (period_i_ / config.p) * row_words_;
   delta_j_ = period_j_ / config.q;
   coords_scratch_.reserve(config.lanes());
+  templates_.resize(static_cast<std::size_t>(
+      std::ssize(access::kAllPatterns) * period_i_ * period_j_));
   for (PatternKind kind : access::kAllPatterns) {
     const auto ext = access::pattern_extent(kind, config.p, config.q);
     KindInfo& ki = kinds_[static_cast<std::size_t>(kind)];
+    ki.support = maf::probe_support(maf, kind);
     ki.min_i = 0;
     ki.max_i = config.height - ext.rows;
     ki.min_j = -ext.col_offset;
@@ -56,34 +57,25 @@ PlanCache::PlanCache(const PolyMemConfig& config, const maf::Maf& maf,
   }
 }
 
-maf::SupportLevel PlanCache::support(PatternKind kind) const {
-  const KindInfo& ki = kinds_[static_cast<std::size_t>(kind)];
-  int state = ki.support.load(std::memory_order_relaxed);
-  if (state == 0) {
-    // probe_support is deterministic and internally synchronised, so a
-    // racing probe stores the same value; relaxed is enough.
-    state = static_cast<int>(maf::probe_support(*maf_, kind)) + 1;
-    ki.support.store(state, std::memory_order_relaxed);
+bool PlanCache::serves(const ParallelAccess& access) const {
+  switch (support(access.kind)) {
+    case maf::SupportLevel::kAny:
+      return true;
+    case maf::SupportLevel::kAligned:
+      return access.anchor.i % config_->p == 0 &&
+             access.anchor.j % config_->q == 0;
+    case maf::SupportLevel::kNone:
+      return false;
   }
-  return static_cast<maf::SupportLevel>(state - 1);
+  return false;
 }
 
 const PlanTemplate* PlanCache::lookup(const ParallelAccess& access,
-                                      std::int64_t& delta, Memo& memo) {
+                                      std::int64_t& delta) {
+  // Periods are multiples of p and q, so alignment is a residue-class
+  // property and each cached template is alignment-consistent.
+  if (!serves(access)) return nullptr;
   const KindInfo& ki = kinds_[static_cast<std::size_t>(access.kind)];
-  switch (support(access.kind)) {
-    case maf::SupportLevel::kNone:
-      return nullptr;
-    case maf::SupportLevel::kAligned:
-      // Periods are multiples of p and q, so alignment is a residue-class
-      // property and each cached template is alignment-consistent.
-      if (access.anchor.i % config_->p != 0 ||
-          access.anchor.j % config_->q != 0)
-        return nullptr;
-      break;
-    case maf::SupportLevel::kAny:
-      break;
-  }
   const auto [ai, aj] = access.anchor;
   if (ai < ki.min_i || ai > ki.max_i || aj < ki.min_j || aj > ki.max_j)
     return nullptr;
@@ -92,55 +84,21 @@ const PlanTemplate* PlanCache::lookup(const ParallelAccess& access,
   const std::int64_t ri = ai % period_i_;
   const std::int64_t rj = aj % period_j_;
   delta = (ai / period_i_) * delta_i_ + (aj / period_j_) * delta_j_;
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(access.kind) * period_i_ + ri) * period_j_ +
-      rj;
-  if (key == memo.key) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return memo.tmpl;
+  std::unique_ptr<PlanTemplate>& slot = templates_[static_cast<std::size_t>(
+      (static_cast<std::int64_t>(access.kind) * period_i_ + ri) * period_j_ +
+      rj)];
+  if (slot != nullptr) {
+    ++hits_;
+  } else {
+    slot = build(access.kind, ri, rj);
+    ++builds_;
   }
-  const PlanTemplate* tmpl = find_or_build(access.kind, ri, rj, key);
-  memo.key = key;
-  memo.tmpl = tmpl;
-  return tmpl;
+  return slot.get();
 }
 
-const PlanTemplate* PlanCache::find_or_build(PatternKind kind, std::int64_t ri,
-                                             std::int64_t rj,
-                                             std::uint64_t key) {
-  {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    if (auto it = templates_.find(key); it != templates_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return &it->second;
-    }
-  }
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  // Double-check: another thread may have built it between the locks.
-  if (auto it = templates_.find(key); it != templates_.end()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return &it->second;
-  }
-  return &build(kind, ri, rj, key);
-}
-
-std::optional<PlanCache::TemplateView> PlanCache::inspect(
-    const ParallelAccess& access) {
-  TemplateView view;
-  view.tmpl = lookup(access, view.delta);
-  if (view.tmpl == nullptr) return std::nullopt;
-  // lookup() only serves in-bounds (non-negative) anchors, so plain
-  // remainder is the floored residue.
-  view.residue_i = access.anchor.i % period_i_;
-  view.residue_j = access.anchor.j % period_j_;
-  return view;
-}
-
-const PlanTemplate& PlanCache::build(PatternKind kind, std::int64_t ri,
-                                     std::int64_t rj, std::uint64_t key) {
-  // Runs with mutex_ held exclusively (find_or_build); coords_scratch_ is
-  // only touched here, so the exclusive lock also covers it.
-  //
+std::unique_ptr<PlanTemplate> PlanCache::build(PatternKind kind,
+                                               std::int64_t ri,
+                                               std::int64_t rj) {
   // The residue anchor (ri, rj) may place elements outside the address
   // space or below zero (SecDiag walks left); bank() and the floordiv
   // decomposition are defined there, and the per-anchor delta shifts the
@@ -148,27 +106,26 @@ const PlanTemplate& PlanCache::build(PatternKind kind, std::int64_t ri,
   access::expand_into({kind, {ri, rj}}, config_->p, config_->q,
                       coords_scratch_);
   const unsigned lanes = static_cast<unsigned>(coords_scratch_.size());
-  PlanTemplate t;
-  t.bank.resize(lanes);
-  t.lane_for_bank.resize(lanes);
-  t.addr0.resize(lanes);
-  t.bank_addr0.resize(lanes);
+  auto t = std::make_unique<PlanTemplate>();
+  t->bank.resize(lanes);
+  t->lane_for_bank.resize(lanes);
+  t->addr0.resize(lanes);
+  t->bank_addr0.resize(lanes);
   const auto p = static_cast<std::int64_t>(config_->p);
   const auto q = static_cast<std::int64_t>(config_->q);
   for (unsigned k = 0; k < lanes; ++k) {
     const access::Coord c = coords_scratch_[k];
-    t.bank[k] = maf_->bank(c);
-    t.addr0[k] = floordiv(c.i, p) * row_words_ + floordiv(c.j, q);
+    t->bank[k] = maf_->bank(c);
+    t->addr0[k] = floordiv(c.i, p) * row_words_ + floordiv(c.j, q);
   }
   for (unsigned k = 0; k < lanes; ++k) {
     // Conflict-freeness (proven by the oracle before lookup hands out
     // templates) makes `bank` a permutation; a violation here is a bug.
-    POLYMEM_ASSERT(t.bank[k] < lanes);
-    t.lane_for_bank[t.bank[k]] = k;
-    t.bank_addr0[t.bank[k]] = t.addr0[k];
+    POLYMEM_ASSERT(t->bank[k] < lanes);
+    t->lane_for_bank[t->bank[k]] = k;
+    t->bank_addr0[t->bank[k]] = t->addr0[k];
   }
-  builds_.fetch_add(1, std::memory_order_relaxed);
-  return templates_.emplace(key, std::move(t)).first->second;
+  return t;
 }
 
 }  // namespace polymem::core

@@ -13,14 +13,18 @@
 // So one *plan template* per (pattern, anchor-residue) class — the bank
 // permutation, its inverse, and the per-lane/per-bank base addresses —
 // replaces the per-lane MAF + addressing + shuffle work of the naive AGU
-// path with one cache lookup and one add per bank. Templates are built
-// lazily on first use and reused for every later access in the same
-// residue class (strided walks cycle through a handful of classes).
+// path with one cache lookup and one add per bank. The templates sit in
+// one dense table indexed by (pattern, ri, rj), like the hardware's ROM;
+// each is built lazily on first use and reused for every later access in
+// the same residue class (strided walks cycle through a handful of
+// classes). The six pattern support levels are probed once, when the
+// cache is built, and are the one support table of the owning PolyMem.
 //
-// Concurrency: lookups are thread-safe. The hot-path memo lives with the
-// caller (one PlanCache::Memo per thread), the template map sits behind a
-// shared_mutex (shared find / exclusive build), counters are relaxed
-// atomics, and template pointers are stable for the cache's lifetime.
+// Ownership: single-owner, like the PolyMem that holds it. One thread
+// drives a PolyMem (and so its cache) at a time; lookup() builds templates
+// and bumps plain counters without locks. support() is immutable after
+// construction, so any thread may read it. Template pointers are stable
+// for the cache's lifetime.
 //
 // Totality: a geometry is accepted only when every template it could ever
 // need fits the key space and the template budget (fits()), so lookup()
@@ -36,16 +40,12 @@
 // scheme x pattern x an anchor sweep.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <optional>
-#include <shared_mutex>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "access/pattern.hpp"
 #include "core/config.hpp"
-#include "maf/addressing.hpp"
 #include "maf/conflict.hpp"
 #include "maf/maf.hpp"
 
@@ -64,9 +64,9 @@ struct PlanTemplate {
 
 class PlanCache {
  public:
-  /// Throws InvalidArgument when the geometry fails fits().
-  PlanCache(const PolyMemConfig& config, const maf::Maf& maf,
-            const maf::AddressingFunction& addressing);
+  /// Probes the support level of every pattern kind. Throws
+  /// InvalidArgument when the geometry fails fits().
+  PlanCache(const PolyMemConfig& config, const maf::Maf& maf);
 
   /// True when every (pattern, residue) template of `maf` fits the key
   /// space and the template budget — the precondition of a total lookup.
@@ -76,65 +76,33 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Caller-owned single-entry memo for the one-template steady state
-  /// (strided walks hit the same residue class for long runs). Each
-  /// reader thread keeps its own Memo — the cache itself holds no
-  /// per-lookup mutable state besides the shared template map, so
-  /// concurrent lookups from any number of threads are safe.
-  /// Template pointers are stable (never invalidated while the cache
-  /// lives), which is what makes the memoized pointer sound.
-  struct Memo {
-    std::uint64_t key = ~0ull;
-    const PlanTemplate* tmpl = nullptr;
-  };
-
   /// O(1) template lookup. Returns the template plus the per-anchor
   /// address offset `delta` (element addresses are `addr0[k] + delta`).
   /// Never null for an access PolyMem::validate_batch accepts; returns
   /// nullptr only when the pattern is unsupported (including unaligned
   /// anchors of aligned-only patterns) or the access leaves the address
-  /// space. Thread-safe: lookups may run concurrently; `memo` carries the
-  /// caller's last-template fast path (one Memo per thread).
+  /// space. Every non-null lookup counts as exactly one hit or one build.
   const PlanTemplate* lookup(const access::ParallelAccess& access,
-                             std::int64_t& delta, Memo& memo);
+                             std::int64_t& delta);
 
-  /// Memo-less convenience overload (tools, tests, single-shot callers).
-  const PlanTemplate* lookup(const access::ParallelAccess& access,
-                             std::int64_t& delta) {
-    Memo memo;
-    return lookup(access, delta, memo);
+  /// Support level of `kind` under this MAF (probed at construction).
+  maf::SupportLevel support(access::PatternKind kind) const {
+    return kinds_[static_cast<std::size_t>(kind)].support;
   }
 
-  /// Support level of `kind` under this MAF, probed once per kind.
-  maf::SupportLevel support(access::PatternKind kind) const;
+  /// True when the pattern is usable at the access's anchor: kAny, or
+  /// kAligned with a p/q-aligned anchor. Bounds are not checked.
+  bool serves(const access::ParallelAccess& access) const;
 
   std::int64_t period_i() const { return period_i_; }
   std::int64_t period_j() const { return period_j_; }
 
   /// Served-from-cache and template-build counters (lookup misses that
-  /// return nullptr count as neither). Relaxed atomics: exact under any
-  /// serial workload, momentarily stale reads are fine mid-parallel-run.
-  std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::uint64_t builds() const {
-    return builds_.load(std::memory_order_relaxed);
-  }
-  std::size_t size() const {
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return templates_.size();
-  }
-
-  /// Template introspection for the static prover (verify/maf_prover.hpp)
-  /// and tools: the template serving `access` plus the residue class it is
-  /// keyed under and the per-anchor address offset. Goes through the same
-  /// cache (and counters) as lookup(); nullopt exactly when lookup() would
-  /// return nullptr.
-  struct TemplateView {
-    const PlanTemplate* tmpl = nullptr;
-    std::int64_t residue_i = 0;  ///< anchor.i mod period_i
-    std::int64_t residue_j = 0;  ///< anchor.j mod period_j
-    std::int64_t delta = 0;      ///< addresses are tmpl->addr0[k] + delta
-  };
-  std::optional<TemplateView> inspect(const access::ParallelAccess& access);
+  /// return nullptr count as neither). Every build fills one table slot,
+  /// so the template count is the build count.
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t builds() const { return builds_; }
+  std::size_t size() const { return static_cast<std::size_t>(builds_); }
 
   /// Aggregate cache state, one call — for polymem_info and reports.
   struct Stats {
@@ -150,22 +118,17 @@ class PlanCache {
 
  private:
   struct KindInfo {
-    // Probed lazily: 0 = unknown, else SupportLevel + 1. probe_support is
-    // deterministic, so racing probes store the same value (relaxed).
-    mutable std::atomic<int> support{0};
+    maf::SupportLevel support = maf::SupportLevel::kNone;
     // Valid anchor rectangle (inclusive) for in-bounds accesses.
     std::int64_t min_i = 0, max_i = -1;
     std::int64_t min_j = 0, max_j = -1;
   };
 
-  const PlanTemplate* find_or_build(access::PatternKind kind, std::int64_t ri,
-                                    std::int64_t rj, std::uint64_t key);
-  const PlanTemplate& build(access::PatternKind kind, std::int64_t ri,
-                            std::int64_t rj, std::uint64_t key);
+  std::unique_ptr<PlanTemplate> build(access::PatternKind kind,
+                                      std::int64_t ri, std::int64_t rj);
 
   const PolyMemConfig* config_;
   const maf::Maf* maf_;
-  const maf::AddressingFunction* addressing_;
   std::int64_t period_i_ = 1;
   std::int64_t period_j_ = 1;
   std::int64_t row_words_ = 0;   // W/q: address stride of one block row
@@ -173,16 +136,13 @@ class PlanCache {
   std::int64_t delta_j_ = 0;     // Pj/q: delta per j-period
   KindInfo kinds_[6];
 
-  // Template map. Node-based, so PlanTemplate addresses are stable across
-  // inserts — lookups hand out raw pointers and memos cache them. Guarded
-  // by mutex_: shared for find, exclusive for build+insert. The scratch
-  // vector is only touched under the exclusive lock (build path).
-  mutable std::shared_mutex mutex_;
-  std::unordered_map<std::uint64_t, PlanTemplate> templates_;
-  std::vector<access::Coord> coords_scratch_;
+  // Dense template table, 6 * Pi * Pj slots indexed by
+  // (kind * Pi + ri) * Pj + rj; a null slot is a class not yet built.
+  std::vector<std::unique_ptr<PlanTemplate>> templates_;
+  std::vector<access::Coord> coords_scratch_;  // build() expansion buffer
 
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> builds_{0};
+  std::uint64_t hits_ = 0;
+  std::uint64_t builds_ = 0;
 };
 
 }  // namespace polymem::core

@@ -12,7 +12,7 @@ PolyMem::PolyMem(PolyMemConfig config)
       maf_(config.scheme, config.p, config.q),
       addressing_(config.p, config.q, config.height, config.width),
       banks_(config.lanes(), config.read_ports, config.words_per_bank()),
-      plan_cache_(config_, maf_, addressing_) {
+      plan_cache_(config_, maf_) {
   const unsigned lanes = config_.lanes();
   for (Routed* side : {&read_side_, &write_side_}) {
     side->bank_addr.resize(lanes);
@@ -21,15 +21,11 @@ PolyMem::PolyMem(PolyMemConfig config)
   copy_buf_.resize(lanes);
 }
 
-maf::SupportLevel PolyMem::supports(access::PatternKind pattern) const {
-  return plan_cache_.support(pattern);
-}
-
 const PlanTemplate& PolyMem::route(const access::ParallelAccess& where,
                                    Routed& side) {
   validate_batch(AccessBatch::strided(where.kind, where.anchor, {0, 0}, 1));
   std::int64_t delta = 0;
-  const PlanTemplate* t = plan_cache_.lookup(where, delta, side.memo);
+  const PlanTemplate* t = plan_cache_.lookup(where, delta);
   POLYMEM_ASSERT(t != nullptr);  // total for validated accesses
   const unsigned lanes = config_.lanes();
   for (unsigned b = 0; b < lanes; ++b)
@@ -121,7 +117,7 @@ void PolyMem::validate_batch(const AccessBatch& batch) const {
               count, static_cast<std::int64_t>(config_.lanes()), &words),
       "batch size overflows");
   if (count == 0) return;
-  const maf::SupportLevel level = plan_cache_.support(batch.kind);
+  const maf::SupportLevel level = supports(batch.kind);
   if (level == maf::SupportLevel::kNone) {
     std::ostringstream os;
     os << "scheme " << maf::scheme_name(config_.scheme) << " (" << config_.p

@@ -23,6 +23,13 @@
 // the test oracle (tests/support) that both paths are checked against.
 // For timed simulation (latency, concurrent read+write, multi-port
 // scheduling) use core/cycle_polymem.hpp, which layers clocking on top.
+//
+// Ownership: a PolyMem is single-owner. One thread drives it at a time:
+// accesses, batches and compiles update the plan cache, the bank counters
+// and the compiled-plan memo without locks, so a layer that shares one
+// across threads serialises the calls itself (ServiceEngine's one drain
+// thread, AdaptiveMatrix's engine mutex). supports() is immutable after
+// construction, so any thread may read it.
 #pragma once
 
 #include <array>
@@ -63,8 +70,16 @@ class PolyMem {
   const maf::AddressingFunction& addressing() const { return addressing_; }
   unsigned lanes() const { return config_.lanes(); }
 
-  /// Machine-checked support level of a pattern under this configuration.
-  maf::SupportLevel supports(access::PatternKind pattern) const;
+  /// Machine-checked support level of a pattern under this configuration:
+  /// a read of the table the plan cache fills at construction. Immutable,
+  /// so any thread may call it.
+  maf::SupportLevel supports(access::PatternKind pattern) const {
+    return plan_cache_.support(pattern);
+  }
+  /// supports() at one anchor: kAny, or kAligned with an aligned anchor.
+  bool serves(const access::ParallelAccess& where) const {
+    return plan_cache_.serves(where);
+  }
 
   /// Writes lanes() words (canonical order) through the write port.
   void write(const access::ParallelAccess& where, std::span<const Word> data);
@@ -141,11 +156,10 @@ class PolyMem {
   PlanCache& plan_cache() { return plan_cache_; }
 
  private:
-  // One side of a single access, routed into bank order: the template
-  // memo plus per-bank address/data buffers sized to lanes() once.
-  // read_write needs one side for the read and one for the write.
+  // One side of a single access, routed into bank order: per-bank
+  // address/data buffers sized to lanes() once. read_write needs one side
+  // for the read and one for the write.
   struct Routed {
-    PlanCache::Memo memo;
     std::vector<std::int64_t> bank_addr;
     std::vector<Word> bank_data;
   };

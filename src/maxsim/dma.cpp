@@ -29,12 +29,11 @@ DmaEngine::Shape DmaEngine::pick_shape(std::int64_t rows, std::int64_t cols,
   const auto& cfg = mem_->config();
   const auto lanes = static_cast<std::int64_t>(cfg.lanes());
   if (cols % lanes == 0 &&
-      maf::probe_support(mem_->maf(), PatternKind::kRow) ==
-          maf::SupportLevel::kAny) {
+      mem_->supports(PatternKind::kRow) == maf::SupportLevel::kAny) {
     return Shape::kRowAccesses;
   }
   if (rows % cfg.p == 0 && cols % cfg.q == 0 &&
-      maf::access_supported(mem_->maf(), {PatternKind::kRect, origin})) {
+      mem_->serves({PatternKind::kRect, origin})) {
     // Rect anchors advance in p/q steps from the origin, so alignment (for
     // RoCo) holds at every tile position iff it holds at the origin.
     return Shape::kRectAccesses;

@@ -53,7 +53,7 @@ RegisterFile::Entry RegisterFile::build_entry(const std::string& name,
     POLYMEM_REQUIRE(
         access::fits(tile, cfg.p, cfg.q, cfg.height, cfg.width),
         "register '" + name + "' needs a tile outside the address space");
-    if (!maf::access_supported(mem_->maf(), tile)) {
+    if (!mem_->serves(tile)) {
       throw Unsupported("scheme " + std::string(maf::scheme_name(cfg.scheme)) +
                         " does not serve pattern " +
                         access::pattern_name(pattern) +

@@ -87,10 +87,6 @@ void ServiceEngine::init_queues() {
     queues_.push_back(std::make_unique<PortQueue>(options_.queue_bound,
                                                   tile_rows_, tile_cols_));
   }
-  // kAllPatterns is in enum order, so the array indexes by PatternKind.
-  for (std::size_t k = 0; k < std::size(access::kAllPatterns); ++k) {
-    support_[k] = maf::probe_support(mem_->maf(), access::kAllPatterns[k]);
-  }
 }
 
 Status ServiceEngine::validate(const Request& request) const {
@@ -127,16 +123,11 @@ Status ServiceEngine::validate(const Request& request) const {
       return Status::kRejected;
     }
   }
-  const maf::SupportLevel level =
-      support_[static_cast<std::size_t>(request.where.kind)];
-  if (level == maf::SupportLevel::kNone) return Status::kRejected;
-  if (level == maf::SupportLevel::kAligned &&
-      (anchor.i % config.p != 0 || anchor.j % config.q != 0)) {
-    // Frame origins and tile dimensions are bank-grid aligned (FramePool
-    // invariant), so matrix-coordinate alignment survives translation.
-    return Status::kRejected;
-  }
-  return Status::kAccepted;
+  // The support table is immutable, so submitters may read it off the
+  // drain thread. Frame origins and tile dimensions are bank-grid aligned
+  // (FramePool invariant), so matrix-coordinate alignment survives
+  // translation.
+  return mem_->serves(request.where) ? Status::kAccepted : Status::kRejected;
 }
 
 Status ServiceEngine::submit(unsigned port, Request&& request,

@@ -232,7 +232,7 @@ std::optional<Violation> check_template_agreement(
   const maf::AddressingFunction addressing(config.p, config.q, config.height,
                                            config.width);
   if (!core::PlanCache::fits(maf)) return std::nullopt;  // no templates
-  core::PlanCache cache(config, maf, addressing);
+  core::PlanCache cache(config, maf);
   const core::Agu agu(config, maf, addressing);
   const std::int64_t pi = cache.period_i();
   const std::int64_t pj = cache.period_j();

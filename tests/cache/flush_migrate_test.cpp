@@ -4,6 +4,7 @@
 // of the winning scheme).
 #include <gtest/gtest.h>
 
+#include "cache/cached_matrix.hpp"
 #include "cache/tile_cache.hpp"
 
 namespace polymem::cache {
@@ -112,6 +113,39 @@ TEST(TileCacheMigrate, RelayoutPreservesDirtyDataUnderTheNewScheme) {
   const auto ref = cache.acquire(1, 0);
   EXPECT_EQ(re_co.load({ref.origin.i + 1, ref.origin.j + 2}), 444u);
   EXPECT_EQ(re_co.load({ref.origin.i, ref.origin.j}), 8u * 1000u);
+}
+
+// CachedMatrix picks its row path from the PolyMem its cache points at
+// now, not from the one it was built over.
+TEST(CachedMatrixMigrate, RowPathFollowsTheMigratedScheme) {
+  maxsim::LMem lmem(1 << 20);
+  core::PolyMem re_ro(pm_cfg(maf::Scheme::kReRo));
+  core::PolyMem re_co(pm_cfg(maf::Scheme::kReCo));
+  const auto m = make_matrix(lmem);
+  CachedMatrix cached(lmem, re_ro, m,
+                      core::FramePool::whole_space(re_ro.config(), 8, 32));
+  std::vector<hw::Word> row(8);
+  const auto expect_row = [&](std::int64_t i) {
+    for (std::int64_t j = 0; j < 8; ++j)
+      EXPECT_EQ(row[static_cast<std::size_t>(j)],
+                static_cast<hw::Word>(i * 1000 + j))
+          << "row " << i << " col " << j;
+  };
+
+  // ReCo does not serve rows: the read takes scalar loads.
+  cached.cache().migrate(re_co);
+  ASSERT_EQ(re_co.supports(access::PatternKind::kRow),
+            maf::SupportLevel::kNone);
+  cached.read_block(0, 0, 1, 8, row);
+  expect_row(0);
+  EXPECT_EQ(re_co.parallel_reads(), 0u);
+
+  // Back on ReRo, which serves rows at any anchor: one parallel read.
+  cached.cache().migrate(re_ro);
+  const std::uint64_t before = re_ro.parallel_reads();
+  cached.read_block(1, 0, 1, 8, row);
+  expect_row(1);
+  EXPECT_EQ(re_ro.parallel_reads(), before + 1);
 }
 
 }  // namespace

@@ -220,11 +220,19 @@ TEST(PlanCache, TemplateCountIsBoundedByResidueClasses) {
   const PolyMemConfig cfg = make_config(Scheme::kReRo, {2, 4});
   PolyMem mem(cfg);
   fill_deterministic(mem);
-  std::vector<Word> out(cfg.lanes());
-  for (std::int64_t i = 0; i + 1 <= cfg.height; ++i)
-    for (std::int64_t j = 0; j + 8 <= cfg.width; ++j)
-      mem.read_into({PatternKind::kRow, {i, j}}, 0, out);
   const auto& pc = mem.plan_cache();
+  std::vector<Word> out(cfg.lanes());
+  std::uint64_t lookups = 0;  // one per single access
+  for (std::int64_t i = 0; i + 1 <= cfg.height; ++i)
+    for (std::int64_t j = 0; j + 8 <= cfg.width; ++j, ++lookups)
+      mem.read_into({PatternKind::kRow, {i, j}}, 0, out);
+  // A walk down the rows at one column alternates residue classes on
+  // every access (Pi = 2); each lookup is still one hit or one build.
+  ASSERT_EQ(pc.period_i(), 2);
+  for (int pass = 0; pass < 4; ++pass)
+    for (std::int64_t i = 0; i < cfg.height; ++i, ++lookups)
+      mem.read_into({PatternKind::kRow, {i, 0}}, 0, out);
+  EXPECT_EQ(pc.hits() + pc.builds(), lookups);
   EXPECT_LE(pc.builds(),
             static_cast<std::uint64_t>(pc.period_i() * pc.period_j()));
   EXPECT_EQ(pc.builds(), pc.size());

@@ -24,6 +24,13 @@ std::string case_name(const ::testing::TestParamInfo<ValidationCase>& info) {
          std::to_string(c.ports) + "P";
 }
 
+// Without it gtest prints the raw bytes of the case, uninitialised struct
+// padding included, so the listed test names changed from run to run.
+void PrintTo(const ValidationCase& c, std::ostream* os) {
+  *os << maf::scheme_name(c.scheme) << ' ' << c.size_kb << "KB " << c.lanes
+      << " lanes " << c.ports << " ports";
+}
+
 class DseValidation : public ::testing::TestWithParam<ValidationCase> {};
 
 TEST_P(DseValidation, HostFillThenParallelReadback) {

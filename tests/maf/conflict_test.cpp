@@ -29,6 +29,14 @@ std::string case_name(const ::testing::TestParamInfo<SupportCase>& info) {
          std::to_string(c.q) + "_" + access::pattern_name(c.pattern);
 }
 
+// Without it gtest prints the raw bytes of the case, uninitialised struct
+// padding included, so the listed test names changed from run to run.
+void PrintTo(const SupportCase& c, std::ostream* os) {
+  *os << scheme_name(c.scheme) << ' ' << c.p << 'x' << c.q << ' '
+      << access::pattern_name(c.pattern) << ": "
+      << support_level_name(c.expected);
+}
+
 class SupportMatrix : public ::testing::TestWithParam<SupportCase> {};
 
 TEST_P(SupportMatrix, ProbeMatchesExpectation) {
