@@ -11,7 +11,7 @@
 // private row band (per-client FIFO makes the final image
 // deterministic), and every write's payload is derived from its
 // request tag — so both the completed reads and the end-state memory
-// are differentially verifiable. Four configurations over the SAME
+// are differentially verifiable. Three configurations over the SAME
 // trace:
 //
 //  1. serial_baseline — no service at all: one synchronous read_into
@@ -23,10 +23,6 @@
 //     read_ports = ports): each port's FIFO prefix is one client's
 //     burst, so the drain coalesces near-full runs and serves them on
 //     the ~5 ns/access compiled SIMD path.
-//  4. sharded_multitenant — a 256x256 LMem-resident matrix served by 4
-//     PolyMem shards (each a write-back TileCache over the shared
-//     LMem), 6 tenants routed by anchor-tile hash; Zipf tile
-//     popularity makes the per-shard caches earn their keep.
 //
 // Each engine configuration is measured in two phases:
 //
@@ -44,10 +40,9 @@
 //
 // Every completed read is copied into a slot addressed by its request
 // tag and differentially verified bit-for-bit against the serial
-// replay (direct configs) or the host mirror of the LMem matrix
-// (sharded config), in both phases. Latency is complete_cycle -
-// submit_cycle on the engine's modeled clock, summarized as p50/p95/p99
-// through the common/stats Reservoir. A data divergence — or, in the
+// replay, in both phases. Latency is complete_cycle - submit_cycle on
+// the engine's modeled clock, summarized as p50/p95/p99 through the
+// common/stats Reservoir. A data divergence — or, in the
 // full run, a saturated multi-port drain that fails to outrun the
 // serial baseline — exits nonzero so CI can gate on the smoke
 // invocation (--tiny).
@@ -69,9 +64,8 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "maxsim/lmem.hpp"
 #include "runtime/thread_pool.hpp"
-#include "service/sharded.hpp"
+#include "service/engine.hpp"
 
 namespace {
 
@@ -80,7 +74,7 @@ using namespace polymem;
 constexpr double kZipfSkew = 0.9;
 constexpr std::int64_t kBurstMin = 8;
 constexpr std::int64_t kBurstMax = 16;
-/// Fraction of bursts that are writes (both trace generators).
+/// Fraction of bursts that are writes.
 constexpr double kWriteFraction = 0.25;
 /// Salt for tag-derived write payloads (recomputable anywhere).
 constexpr std::uint64_t kPayloadSalt = 0x77aa55;
@@ -147,13 +141,12 @@ struct Trace {
   std::size_t writes() const { return entries.size() - reads(); }
 };
 
-/// Direct-mode trace: Zipf-popular column anchors, bursts walking
-/// kBurstMin..kBurstMax consecutive rows (stride {1,0} — coalescible).
-/// Read bursts draw from the shared top half of the space; write bursts
+/// Zipf-popular column anchors, bursts walking kBurstMin..kBurstMax
+/// consecutive rows (stride {1,0} — coalescible). Read bursts draw from the shared top half of the space; write bursts
 /// land in the client's private band of the bottom half, so reads stay
 /// serial-oracle-checkable and the final image is order-independent
 /// across clients.
-Trace make_direct_trace(const core::PolyMemConfig& cfg, unsigned clients,
+Trace make_trace(const core::PolyMemConfig& cfg, unsigned clients,
                         std::size_t per_client, std::uint64_t seed) {
   const auto lanes = static_cast<std::int64_t>(cfg.lanes());
   const Zipf zipf(static_cast<std::size_t>(cfg.width / lanes), kZipfSkew);
@@ -192,60 +185,6 @@ Trace make_direct_trace(const core::PolyMemConfig& cfg, unsigned clients,
   return t;
 }
 
-/// Sharded-mode trace in matrix coordinates: Zipf-popular tiles, bursts
-/// confined to the anchor tile (the engine's coalescing unit). Reads
-/// draw from the top half of the tile grid; each tenant's writes go to
-/// one private tile in the bottom half.
-Trace make_tiled_trace(std::int64_t rows, std::int64_t cols,
-                       std::int64_t tile_rows, std::int64_t tile_cols,
-                       std::int64_t lanes, unsigned clients,
-                       std::size_t per_client, std::uint64_t seed) {
-  const std::int64_t tiles_i = rows / tile_rows;
-  const std::int64_t tiles_j = cols / tile_cols;
-  const std::int64_t read_tiles_i = tiles_i / 2;
-  const std::int64_t write_tiles =
-      (tiles_i - read_tiles_i) * tiles_j;  // bottom half, tenant-private
-  const Zipf zipf(static_cast<std::size_t>(read_tiles_i * tiles_j),
-                  kZipfSkew);
-  Trace t;
-  t.lanes = static_cast<unsigned>(lanes);
-  t.entries.reserve(clients * per_client);
-  for (unsigned c = 0; c < clients; ++c) {
-    Rng rng(runtime::derive_seed(seed, c));
-    const std::size_t begin = t.entries.size();
-    std::size_t quota = per_client;
-    while (quota > 0) {
-      const bool is_write =
-          write_tiles >= clients && rng.uniform01() < kWriteFraction;
-      std::int64_t ti = 0, tj = 0;
-      if (is_write) {
-        const std::int64_t mine = c % write_tiles;
-        ti = read_tiles_i + mine / tiles_j;
-        tj = mine % tiles_j;
-      } else {
-        const auto tile = static_cast<std::int64_t>(zipf(rng));
-        ti = tile / tiles_j;
-        tj = tile % tiles_j;
-      }
-      const auto len = std::min<std::int64_t>(
-          static_cast<std::int64_t>(quota),
-          rng.uniform(std::min<std::int64_t>(4, tile_rows), tile_rows));
-      const std::int64_t i0 =
-          ti * tile_rows + rng.uniform(0, tile_rows - len);
-      const std::int64_t j0 =
-          tj * tile_cols + rng.uniform(0, tile_cols / lanes - 1) * lanes;
-      const auto op = is_write ? service::Op::kWrite : service::Op::kRead;
-      for (std::int64_t r = 0; r < len; ++r) {
-        t.entries.push_back(
-            {{access::PatternKind::kRow, {i0 + r, j0}}, c, op});
-      }
-      quota -= static_cast<std::size_t>(len);
-    }
-    t.client_ranges.emplace_back(begin, t.entries.size());
-  }
-  return t;
-}
-
 constexpr std::size_t kQueueBound = 4096;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
@@ -262,20 +201,8 @@ void fill_polymem(core::PolyMem& mem, std::uint64_t seed) {
   }
 }
 
-void fill_lmem(maxsim::LMem& lmem, const maxsim::LMemMatrix& m,
-               std::vector<hw::Word>* mirror, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<hw::Word> row(static_cast<std::size_t>(m.cols));
-  for (std::int64_t i = 0; i < m.rows; ++i) {
-    for (auto& w : row) w = rng.bits();
-    lmem.write(m.word_addr(i, 0), row);
-    if (mirror) mirror->insert(mirror->end(), row.begin(), row.end());
-  }
-}
-
 /// Copies every completion into slot `tag`: data for the oracle,
-/// modeled latency for the percentile summary. Slots are disjoint, so
-/// concurrent drain threads (sharded mode) never race.
+/// modeled latency for the percentile summary.
 class SlotListener final : public service::CompletionListener {
  public:
   SlotListener(std::size_t requests, unsigned lanes)
@@ -343,16 +270,10 @@ SerialRun run_serial(core::PolyMem& mem, const Trace& trace) {
 /// regions are client-private and payloads are tag-derived, so whatever
 /// cross-client interleave an engine picks converges to this image.
 std::vector<hw::Word> expected_image(std::int64_t rows, std::int64_t cols,
-                                     const Trace& trace, std::uint64_t seed,
-                                     const std::vector<hw::Word>* fill) {
-  std::vector<hw::Word> img;
-  if (fill) {
-    img = *fill;
-  } else {
-    img.resize(static_cast<std::size_t>(rows * cols));
-    Rng rng(seed);
-    for (auto& w : img) w = rng.bits();
-  }
+                                     const Trace& trace, std::uint64_t seed) {
+  std::vector<hw::Word> img(static_cast<std::size_t>(rows * cols));
+  Rng rng(seed);
+  for (auto& w : img) w = rng.bits();
   for (std::size_t k = 0; k < trace.entries.size(); ++k) {
     const auto& e = trace.entries[k];
     if (e.op != service::Op::kWrite) continue;
@@ -393,8 +314,6 @@ struct LoadResult {
   std::uint64_t retries = 0;   ///< kOverloaded submissions retried
   bool verified = true;
   SatResult sat;  ///< the same trace replayed through a saturated drain
-  std::size_t trace_reads = 0;   ///< run_sharded only (private trace)
-  std::size_t trace_writes = 0;
 };
 
 service::Request make_request(const Trace& trace, std::size_t k,
@@ -411,23 +330,24 @@ service::Request make_request(const Trace& trace, std::size_t k,
   return req;
 }
 
-/// Closed-loop clients: each thread submits its trace chunk in order,
-/// spinning (yield) on kOverloaded — typed shedding, the client's
-/// backpressure signal. `submit` maps (entry, tag) to a Status.
-template <typename SubmitFn>
+/// Closed-loop clients: each thread submits its trace chunk in order to
+/// port `client % ports`, backing off on kOverloaded — typed shedding,
+/// the client's backpressure signal.
 void drive_clients(const Trace& trace, SlotListener& listener,
                    std::atomic<std::uint64_t>& retries,
-                   std::atomic<std::uint64_t>& failures, SubmitFn submit) {
+                   std::atomic<std::uint64_t>& failures,
+                   service::ServiceEngine& engine, unsigned ports) {
   std::vector<std::thread> clients;
   clients.reserve(trace.client_ranges.size());
   for (std::size_t c = 0; c < trace.client_ranges.size(); ++c) {
     clients.emplace_back([&, c] {
       const auto [begin, end] = trace.client_ranges[c];
+      const auto port = static_cast<unsigned>(c) % ports;
       std::uint64_t my_retries = 0;
       for (std::size_t k = begin; k < end; ++k) {
         service::Request req = make_request(trace, k, listener);
         service::Status s;
-        while ((s = submit(c, k, std::move(req))) ==
+        while ((s = engine.submit(port, std::move(req))) ==
                service::Status::kOverloaded) {
           // Back off with a real sleep, not a yield: on small hosts the
           // submitters and the drain share cores, and a yield carousel
@@ -444,14 +364,13 @@ void drive_clients(const Trace& trace, SlotListener& listener,
   for (auto& t : clients) t.join();
 }
 
-/// Queues the whole trace wave by wave (each client submits until its
-/// queue sheds, preserving per-client FIFO order), pumping `drain`
-/// between waves; only the pump time accumulates into `sat.drain_s`.
-/// `submit` maps (client, tag) to a Status; `drain` pumps to
-/// quiescence.
-template <typename SubmitFn, typename DrainFn>
+/// Queues the whole trace wave by wave (each client submits to port
+/// `client % ports` until its queue sheds, preserving per-client FIFO
+/// order), pumping the never-started `engine` to quiescence between
+/// waves; only the pump time accumulates into `sat.drain_s`.
 void drive_saturated(const Trace& trace, SlotListener& listener,
-                     SatResult& sat, SubmitFn submit, DrainFn drain) {
+                     SatResult& sat, service::ServiceEngine& engine,
+                     unsigned ports) {
   std::vector<std::size_t> cursor(trace.client_ranges.size());
   for (std::size_t c = 0; c < cursor.size(); ++c)
     cursor[c] = trace.client_ranges[c].first;
@@ -463,7 +382,8 @@ void drive_saturated(const Trace& trace, SlotListener& listener,
       const std::size_t end = trace.client_ranges[c].second;
       while (cursor[c] < end) {
         const service::Status s =
-            submit(c, make_request(trace, cursor[c], listener));
+            engine.submit(static_cast<unsigned>(c) % ports,
+                          make_request(trace, cursor[c], listener));
         if (s == service::Status::kOverloaded) break;  // wave full: pump
         if (s != service::Status::kAccepted) {
           sat.verified = false;
@@ -475,7 +395,7 @@ void drive_saturated(const Trace& trace, SlotListener& listener,
     }
     sat.submit_s += seconds_since(t0);
     t0 = std::chrono::steady_clock::now();
-    drain();
+    engine.run_until_idle();
     sat.drain_s += seconds_since(t0);
   }
 }
@@ -486,9 +406,8 @@ Reservoir::Summary summarize_latency(const std::vector<std::uint64_t>& lat) {
   return res.summary();
 }
 
-/// One direct-mode engine run over `trace`; completed reads verified
-/// against the serial replay, the end-state matrix against the host
-/// write image.
+/// One engine run over `trace`; completed reads verified against the
+/// serial replay, the end-state matrix against the host write image.
 LoadResult run_engine(const Trace& trace, unsigned ports,
                       const std::vector<hw::Word>& reference,
                       const std::vector<hw::Word>& final_image,
@@ -507,11 +426,7 @@ LoadResult run_engine(const Trace& trace, unsigned ports,
 
   engine.start(drain);
   const auto t0 = std::chrono::steady_clock::now();
-  drive_clients(trace, listener, retries, failures,
-                [&](std::size_t client, std::size_t, service::Request&& req) {
-                  const auto port = static_cast<unsigned>(client) % ports;
-                  return engine.submit(port, std::move(req));
-                });
+  drive_clients(trace, listener, retries, failures, engine, ports);
   const std::size_t expected = trace.entries.size() - failures.load();
   while (listener.completed() < expected)
     std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -530,130 +445,12 @@ LoadResult run_engine(const Trace& trace, unsigned ports,
   fill_polymem(sat_mem, fill_seed);
   service::ServiceEngine sat_engine(sat_mem, opt);
   SlotListener sat_listener(trace.entries.size(), sat_mem.lanes());
-  drive_saturated(
-      trace, sat_listener, r.sat,
-      [&](std::size_t client, service::Request&& req) {
-        const auto port = static_cast<unsigned>(client) % ports;
-        return sat_engine.submit(port, std::move(req));
-      },
-      [&] { sat_engine.run_until_idle(); });
+  drive_saturated(trace, sat_listener, r.sat, sat_engine, ports);
   r.sat.stats = sat_engine.stats();
   r.sat.verified = r.sat.verified && sat_listener.not_ok() == 0 &&
                    sat_listener.completed() == trace.entries.size() &&
                    sat_listener.data() == reference &&
                    image_matches(sat_mem, final_image);
-  return r;
-}
-
-bool lmem_matches(maxsim::LMem& lmem, const maxsim::LMemMatrix& m,
-                  const std::vector<hw::Word>& mirror) {
-  std::vector<hw::Word> row(static_cast<std::size_t>(m.cols));
-  for (std::int64_t i = 0; i < m.rows; ++i) {
-    lmem.read(m.word_addr(i, 0), row);
-    if (!std::equal(row.begin(), row.end(),
-                    mirror.begin() + static_cast<std::ptrdiff_t>(i * m.cols)))
-      return false;
-  }
-  return true;
-}
-
-bool verify_against_mirror(const SlotListener& listener, const Trace& trace,
-                           const std::vector<hw::Word>& mirror,
-                           std::int64_t cols, std::int64_t lanes) {
-  for (std::size_t k = 0; k < trace.entries.size(); ++k) {
-    if (trace.entries[k].op != service::Op::kRead) continue;
-    const auto anchor = trace.entries[k].where.anchor;
-    for (std::int64_t l = 0; l < lanes; ++l) {
-      const auto got =
-          listener.data()[k * static_cast<std::size_t>(lanes) +
-                          static_cast<std::size_t>(l)];
-      const auto want =
-          mirror[static_cast<std::size_t>(anchor.i * cols + anchor.j + l)];
-      if (got != want) return false;
-    }
-  }
-  return true;
-}
-
-/// The multi-tenant config: `shards` PolyMem+TileCache+drain instances
-/// over one LMem-resident matrix, verified against the host mirror.
-LoadResult run_sharded(const maxsim::LMemMatrix& shape, unsigned shards,
-                       unsigned ports, unsigned clients,
-                       std::size_t per_client, std::uint64_t seed) {
-  maxsim::LMem lmem(64u << 20);
-  std::vector<hw::Word> mirror;
-  mirror.reserve(static_cast<std::size_t>(shape.rows * shape.cols));
-  fill_lmem(lmem, shape, &mirror, seed);
-
-  service::ShardedOptions sopt;
-  sopt.shards = shards;
-  sopt.engine.ports = ports;
-  sopt.engine.queue_bound = kQueueBound;
-  sopt.engine.max_coalesce = 64;
-  sopt.shard_config = pm_cfg();
-  service::ShardedService svc(lmem, shape, sopt);
-
-  const auto lanes = static_cast<std::int64_t>(sopt.shard_config.lanes());
-  const Trace trace =
-      make_tiled_trace(shape.rows, shape.cols, svc.tile_rows(),
-                       svc.tile_cols(), lanes, clients, per_client, seed + 1);
-  // Fold the trace's writes into the mirror: reads never touch the
-  // write tiles, so one image serves both the read oracle and the
-  // end-state LMem check.
-  mirror = expected_image(shape.rows, shape.cols, trace, seed, &mirror);
-  runtime::ThreadPool pool(shards);
-  SlotListener listener(trace.entries.size(),
-                        static_cast<unsigned>(lanes));
-  std::atomic<std::uint64_t> retries{0};
-  std::atomic<std::uint64_t> failures{0};
-
-  svc.start(pool);
-  const auto t0 = std::chrono::steady_clock::now();
-  drive_clients(trace, listener, retries, failures,
-                [&](std::size_t, std::size_t, service::Request&& req) {
-                  return svc.submit(std::move(req));
-                });
-  const std::size_t expected = trace.entries.size() - failures.load();
-  while (listener.completed() < expected)
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  LoadResult r;
-  r.wall_s = seconds_since(t0);
-  svc.stop();
-  svc.flush();  // publish dirty write tiles so the LMem check sees them
-  r.stats = svc.stats();
-  r.latency = summarize_latency(listener.latency());
-  r.retries = retries.load();
-  r.trace_reads = trace.reads();
-  r.trace_writes = trace.writes();
-  r.verified = failures.load() == 0 && listener.not_ok() == 0 &&
-               verify_against_mirror(listener, trace, mirror, shape.cols,
-                                     lanes) &&
-               lmem_matches(lmem, shape, mirror);
-
-  // Saturated-drain phase: a second (never-started) service over the
-  // same LMem matrix, every shard pumped from the caller's thread.
-  service::ShardedService sat_svc(lmem, shape, sopt);
-  SlotListener sat_listener(trace.entries.size(),
-                            static_cast<unsigned>(lanes));
-  drive_saturated(
-      trace, sat_listener, r.sat,
-      [&](std::size_t, service::Request&& req) {
-        return sat_svc.submit(std::move(req));
-      },
-      [&] {
-        for (bool any = true; any;) {
-          any = false;
-          for (unsigned s = 0; s < sat_svc.shards(); ++s)
-            while (sat_svc.engine(s).drain_once()) any = true;
-        }
-      });
-  r.sat.stats = sat_svc.stats();
-  sat_svc.flush();
-  r.sat.verified = r.sat.verified && sat_listener.not_ok() == 0 &&
-                   sat_listener.completed() == trace.entries.size() &&
-                   verify_against_mirror(sat_listener, trace, mirror,
-                                         shape.cols, lanes) &&
-                   lmem_matches(lmem, shape, mirror);
   return r;
 }
 
@@ -664,12 +461,12 @@ std::string fmt(double v) {
 }
 
 void emit_config(std::ostream& out, const std::string& name,
-                 std::size_t requests, unsigned ports, unsigned shards,
-                 const LoadResult& r, bool last) {
+                 std::size_t requests, unsigned ports, const LoadResult& r,
+                 bool last) {
   const double n = static_cast<double>(requests);
   out << "    {\"name\": \"" << name << "\", \"verified\": "
       << (r.verified ? "true" : "false") << ", \"ports\": " << ports
-      << ", \"shard_count\": " << shards << ",\n"
+      << ",\n"
       << "     \"requests\": " << requests
       << ", \"wall_ms\": " << fmt(r.wall_s * 1e3)
       << ", \"accesses_per_sec\": " << fmt(n / r.wall_s)
@@ -687,13 +484,8 @@ void emit_config(std::ostream& out, const std::string& name,
       << ", \"shed\": " << r.stats.shed << ", \"retries\": " << r.retries
       << ",\n     \"max_queue_depth\": " << r.stats.max_queue_depth
       << ", \"max_in_flight\": " << r.stats.max_in_flight
-      << ", \"tile_misses\": " << r.stats.tile_misses
-      << ", \"modeled_cycles\": " << r.stats.cycles << ",\n";
-  if (r.trace_reads + r.trace_writes > 0) {
-    out << "     \"trace_reads\": " << r.trace_reads
-        << ", \"trace_writes\": " << r.trace_writes << ",\n";
-  }
-  out << "     \"saturated_drain\": {\"verified\": "
+      << ", \"modeled_cycles\": " << r.stats.cycles << ",\n"
+      << "     \"saturated_drain\": {\"verified\": "
       << (r.sat.verified ? "true" : "false")
       << ", \"drain_ms\": " << fmt(r.sat.drain_s * 1e3)
       << ", \"accesses_per_sec\": " << fmt(n / r.sat.drain_s)
@@ -718,11 +510,9 @@ int main(int argc, char** argv) {
   const auto cfg = pm_cfg();
   const unsigned kClients = 4;
   const std::size_t per_client = tiny ? 2'000 : 100'000;
-  const unsigned kTenants = 6;
-  const std::size_t per_tenant = tiny ? 1'000 : 30'000;
   constexpr std::uint64_t kSeed = 2026;
 
-  const Trace trace = make_direct_trace(cfg, kClients, per_client, kSeed);
+  const Trace trace = make_trace(cfg, kClients, per_client, kSeed);
   const std::size_t n = trace.entries.size();
 
   // Serial baseline doubles as the differential oracle's reference —
@@ -732,17 +522,12 @@ int main(int argc, char** argv) {
   fill_polymem(serial_mem, kSeed);
   const SerialRun serial = run_serial(serial_mem, trace);
   const std::vector<hw::Word> final_image =
-      expected_image(cfg.height, cfg.width, trace, kSeed, nullptr);
+      expected_image(cfg.height, cfg.width, trace, kSeed);
 
   const LoadResult one_port =
       run_engine(trace, 1, serial.data, final_image, kSeed);
   const LoadResult multi_port =
       run_engine(trace, kClients, serial.data, final_image, kSeed);
-
-  const maxsim::LMemMatrix matrix{0, 256, 256, 256};
-  const LoadResult sharded =
-      run_sharded(matrix, 4, 2, kTenants, per_tenant, kSeed);
-  const std::size_t sharded_n = kTenants * per_tenant;
 
   const double serial_rate = static_cast<double>(n) / serial.wall_s;
   const double multi_rate = static_cast<double>(n) / multi_port.wall_s;
@@ -769,9 +554,8 @@ int main(int argc, char** argv) {
                                         static_cast<double>(n))
       << "},\n"
       << "  \"configs\": [\n";
-  emit_config(out, "engine_1port", n, 1, 1, one_port, false);
-  emit_config(out, "engine_multiport", n, kClients, 1, multi_port, false);
-  emit_config(out, "sharded_multitenant", sharded_n, 2, 4, sharded, true);
+  emit_config(out, "engine_1port", n, 1, one_port, false);
+  emit_config(out, "engine_multiport", n, kClients, multi_port, true);
   out << "  ],\n"
       << "  \"multiport_closed_loop_speedup_vs_serial\": "
       << fmt(multi_rate / serial_rate) << ",\n"
@@ -790,15 +574,10 @@ int main(int argc, char** argv) {
             << "multiport saturated drain: " << fmt(sat_multi_rate / 1e6)
             << " M acc/s (" << fmt(sat_multi_rate / serial_rate)
             << "x serial)\n"
-            << "sharded:   "
-            << fmt(static_cast<double>(sharded_n) / sharded.wall_s / 1e6)
-            << " M acc/s over 4 shards, " << sharded.stats.tile_misses
-            << " tile misses, p99 " << fmt(sharded.latency.p99) << " cy\n"
             << "wrote " << out_path << "\n";
 
-  if (!one_port.verified || !multi_port.verified || !sharded.verified ||
-      !one_port.sat.verified || !multi_port.sat.verified ||
-      !sharded.sat.verified) {
+  if (!one_port.verified || !multi_port.verified || !one_port.sat.verified ||
+      !multi_port.sat.verified) {
     std::cerr << "FAIL: completed data diverges from the serial replay\n";
     return 1;
   }

@@ -32,41 +32,15 @@ const char* status_name(Status status) {
   return "unknown";
 }
 
-EngineStats& EngineStats::operator+=(const EngineStats& other) {
-  accepted += other.accepted;
-  shed += other.shed;
-  rejected += other.rejected;
-  completed_reads += other.completed_reads;
-  completed_writes += other.completed_writes;
-  shutdown_completions += other.shutdown_completions;
-  drained_runs += other.drained_runs;
-  drained_requests += other.drained_requests;
-  compiled_runs += other.compiled_runs;
-  compiled_requests += other.compiled_requests;
-  fallback_accesses += other.fallback_accesses;
-  tile_misses += other.tile_misses;
-  max_queue_depth = std::max(max_queue_depth, other.max_queue_depth);
-  max_in_flight = std::max(max_in_flight, other.max_in_flight);
-  cycles += other.cycles;  // total modeled cycles across engines
-  return *this;
-}
-
 ServiceEngine::ServiceEngine(core::PolyMem& mem, EngineOptions options)
     : mem_(&mem), options_(options) {
-  init_queues();
-}
-
-ServiceEngine::ServiceEngine(cache::TileCache& cache, EngineOptions options)
-    : mem_(&cache.polymem()),
-      cache_(&cache),
-      tile_rows_(cache.frames().tile_rows()),
-      tile_cols_(cache.frames().tile_cols()),
-      options_(options) {
-  POLYMEM_REQUIRE(
-      cache.options().write_policy == cache::WritePolicy::kWriteBack,
-      "service engine requires a write-back tile cache (drains mark frames "
-      "dirty; flush() publishes to LMem)");
-  init_queues();
+  POLYMEM_REQUIRE(options_.ports >= 1, "service engine needs at least 1 port");
+  POLYMEM_REQUIRE(options_.max_coalesce >= 1,
+                  "max_coalesce must be at least 1");
+  queues_.reserve(options_.ports);
+  for (unsigned port = 0; port < options_.ports; ++port) {
+    queues_.push_back(std::make_unique<PortQueue>(options_.queue_bound));
+  }
 }
 
 ServiceEngine::~ServiceEngine() {
@@ -78,17 +52,6 @@ ServiceEngine::~ServiceEngine() {
   retire_all();
 }
 
-void ServiceEngine::init_queues() {
-  POLYMEM_REQUIRE(options_.ports >= 1, "service engine needs at least 1 port");
-  POLYMEM_REQUIRE(options_.max_coalesce >= 1,
-                  "max_coalesce must be at least 1");
-  queues_.reserve(options_.ports);
-  for (unsigned port = 0; port < options_.ports; ++port) {
-    queues_.push_back(std::make_unique<PortQueue>(options_.queue_bound,
-                                                  tile_rows_, tile_cols_));
-  }
-}
-
 Status ServiceEngine::validate(const Request& request) const {
   if (request.listener == nullptr) return Status::kRejected;
   const unsigned lanes = mem_->lanes();
@@ -98,35 +61,12 @@ Status ServiceEngine::validate(const Request& request) const {
     return Status::kRejected;
   }
   const auto& config = mem_->config();
-  const access::Coord anchor = request.where.anchor;
-  if (cache_ == nullptr) {
-    if (!access::fits(request.where, config.p, config.q, config.height,
-                      config.width)) {
-      return Status::kRejected;
-    }
-  } else {
-    // Matrix coordinates: inside the matrix AND inside the anchor's tile,
-    // so the whole access translates to its cache frame with one offset.
-    const auto ext =
-        access::pattern_extent(request.where.kind, config.p, config.q);
-    const maxsim::LMemMatrix& matrix = cache_->matrix();
-    const std::int64_t i0 = anchor.i;
-    const std::int64_t c0 = anchor.j + ext.col_offset;
-    if (i0 < 0 || c0 < 0 || anchor.j < 0) return Status::kRejected;
-    if (i0 + ext.rows > matrix.rows || c0 + ext.cols > matrix.cols) {
-      return Status::kRejected;
-    }
-    const std::int64_t ti = i0 / tile_rows_;
-    const std::int64_t tj = anchor.j / tile_cols_;
-    if ((i0 + ext.rows - 1) / tile_rows_ != ti) return Status::kRejected;
-    if (c0 / tile_cols_ != tj || (c0 + ext.cols - 1) / tile_cols_ != tj) {
-      return Status::kRejected;
-    }
+  if (!access::fits(request.where, config.p, config.q, config.height,
+                    config.width)) {
+    return Status::kRejected;
   }
   // The support table is immutable, so submitters may read it off the
-  // drain thread. Frame origins and tile dimensions are bank-grid aligned
-  // (FramePool invariant), so matrix-coordinate alignment survives
-  // translation.
+  // drain thread.
   return mem_->serves(request.where) ? Status::kAccepted : Status::kRejected;
 }
 
@@ -237,35 +177,19 @@ void ServiceEngine::execute_run(unsigned queue_port,
   const std::size_t n = run_.size();
   const unsigned lanes = mem_->lanes();
   const Op op = run_.front().request.op;
-  core::AccessBatch exec = batch;
-  std::uint64_t extra_latency = 0;
-  int dirty_frame = -1;
-  if (cache_ != nullptr) {
-    const std::int64_t ti = batch.start.i / tile_rows_;
-    const std::int64_t tj = batch.start.j / tile_cols_;
-    if (!cache_->resident(ti, tj)) {
-      extra_latency = options_.miss_penalty_cycles;
-      tile_misses_.fetch_add(1, std::memory_order_relaxed);
-    }
-    const cache::TileCache::TileRef ref = cache_->acquire(ti, tj);
-    exec.start = {ref.origin.i + (batch.start.i - ti * tile_rows_),
-                  ref.origin.j + (batch.start.j - tj * tile_cols_)};
-    if (op == Op::kWrite) dirty_frame = ref.frame;
-    cache_->note_kernel_accesses(n, static_cast<std::uint64_t>(n) * lanes);
-  }
   const unsigned port = queue_port % mem_->config().read_ports;
   PendingBatch pending = take_batch_buffer();
   // A run of one request is a single access; longer runs compile to one
   // gather/scatter.
   const bool compiled = n >= 2;
-  if (compiled) mem_->compile_batch(exec, plan_);
+  if (compiled) mem_->compile_batch(batch, plan_);
   if (op == Op::kRead) {
     pending.data.resize(n * lanes);
     const std::span<Word> out(pending.data);
     if (compiled)
       mem_->read_compiled(plan_, port, out);
     else
-      mem_->read_into(exec.access(0), port, out);
+      mem_->read_into(batch.access(0), port, out);
   } else {
     write_staging_.clear();
     for (const PendingRequest& pr : run_) {
@@ -276,8 +200,7 @@ void ServiceEngine::execute_run(unsigned queue_port,
     if (compiled)
       mem_->write_compiled(plan_, data);
     else
-      mem_->write(exec.access(0), data);
-    if (dirty_frame >= 0) cache_->mark_dirty(dirty_frame);
+      mem_->write(batch.access(0), data);
   }
   if (compiled) {
     compiled_runs_.fetch_add(1, std::memory_order_relaxed);
@@ -288,13 +211,10 @@ void ServiceEngine::execute_run(unsigned queue_port,
   drained_runs_.fetch_add(1, std::memory_order_relaxed);
   drained_requests_.fetch_add(n, std::memory_order_relaxed);
 
-  // One access per cycle; a tile fault stalls the drain clock itself
-  // (acquire is synchronous), so later requests on the port never
-  // complete before an earlier miss. The run completes read_latency
-  // pipeline cycles after its last issue.
-  const std::uint64_t advance = n + extra_latency;
+  // One access per cycle; the run completes read_latency pipeline
+  // cycles after its last issue.
   const std::uint64_t issued =
-      cycle_.fetch_add(advance, std::memory_order_relaxed) + advance;
+      cycle_.fetch_add(n, std::memory_order_relaxed) + n;
   const std::uint64_t complete_cycle = issued + mem_->config().read_latency;
   pending.requests.reserve(n);
   for (const PendingRequest& pr : run_) {
@@ -435,7 +355,6 @@ EngineStats ServiceEngine::stats() const {
   s.compiled_runs = compiled_runs_.load(std::memory_order_relaxed);
   s.compiled_requests = compiled_requests_.load(std::memory_order_relaxed);
   s.fallback_accesses = fallback_accesses_.load(std::memory_order_relaxed);
-  s.tile_misses = tile_misses_.load(std::memory_order_relaxed);
   s.max_in_flight = max_in_flight_.load(std::memory_order_relaxed);
   s.cycles = cycle_.load(std::memory_order_relaxed);
   for (const auto& queue : queues_) {

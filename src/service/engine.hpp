@@ -15,30 +15,23 @@
 //    is served as a single access (read_into / write) instead.
 //  - *In-flight tracking.* Executed runs enter a cycle-ordered
 //    std::multimap keyed by modeled completion cycle (issue cycle +
-//    config read_latency, + a miss penalty when a tile-cached engine
-//    faulted), the mgsim ParallelMemory idiom. Completions retire in
-//    cycle order; each request's listener fires exactly once. One map
-//    node and one recycled data buffer per *run*, not per request, so
-//    the steady-state drain allocates nothing.
+//    config read_latency), the mgsim ParallelMemory idiom. Completions
+//    retire in cycle order; each request's listener fires exactly once.
+//    One map node and one recycled data buffer per *run*, not per
+//    request, so the steady-state drain allocates nothing.
 //  - *Admission control.* Bounded queues shed with Status::kOverloaded
 //    instead of growing without bound; malformed requests are rejected
 //    synchronously with Status::kRejected; submits after stop() return
 //    Status::kShutdown.
 //
-// Two backing modes share the engine:
-//  - *direct*: requests address PolyMem coordinates of a caller-owned
-//    memory — the in-core engine the 1-port/multi-port benches use;
-//  - *tile-cached*: requests address matrix coordinates of a TileCache's
-//    LMem-resident matrix; the drain faults tiles in (counting misses
-//    into the completion latency) and translates anchors to cache
-//    frames. Coalesced runs are constrained to one tile so the whole
-//    run translates with a single offset. This is the per-shard engine
-//    of service/sharded.hpp.
+// Requests address PolyMem coordinates of one caller-owned memory. The
+// paper's parallelism lives inside that memory — its lanes and its 1-4
+// replicated read ports — so the per-port queues are the only fan-out:
+// queue `port` reads through replica `port % read_ports`.
 //
 // Threading: any number of submitters; exactly one drain thread, which
-// is the only thread to touch the PolyMem (and TileCache) — the same
-// single-consumer contract as TileCache itself. Listeners run on the
-// drain thread; they may submit (the drain holds no queue lock while
+// is the only thread to touch the PolyMem. Listeners run on the drain
+// thread; they may submit (the drain holds no queue lock while
 // delivering) but must not call the manual pumps.
 #pragma once
 
@@ -50,7 +43,6 @@
 #include <mutex>
 #include <vector>
 
-#include "cache/tile_cache.hpp"
 #include "core/exec_plan.hpp"
 #include "core/polymem.hpp"
 #include "runtime/thread_pool.hpp"
@@ -68,10 +60,6 @@ struct EngineOptions {
   std::size_t queue_bound = 256;
   /// Longest run one drain serves (and one ExecPlan compile amortizes).
   std::size_t max_coalesce = 64;
-  /// Extra cycles the drain clock stalls when a tile-cached drain
-  /// faulted the run's tile in (the synchronous DRAM refill; it delays
-  /// this run's completion and every later issue).
-  std::uint64_t miss_penalty_cycles = 64;
 };
 
 struct EngineStats {
@@ -86,7 +74,6 @@ struct EngineStats {
   std::uint64_t compiled_runs = 0;      ///< runs served by one ExecPlan
   std::uint64_t compiled_requests = 0;  ///< requests inside compiled runs
   std::uint64_t fallback_accesses = 0;  ///< single-request runs (no compile)
-  std::uint64_t tile_misses = 0;        ///< tile-cached mode only
   std::uint64_t max_queue_depth = 0;    ///< high water over all ports
   std::uint64_t max_in_flight = 0;      ///< requests awaiting completion
   std::uint64_t cycles = 0;             ///< modeled clock at snapshot
@@ -97,21 +84,13 @@ struct EngineStats {
                              : static_cast<double>(drained_requests) /
                                    static_cast<double>(drained_runs);
   }
-  EngineStats& operator+=(const EngineStats& other);
 };
 
 class ServiceEngine {
  public:
-  /// Direct engine: requests address `mem`'s PolyMem coordinates. The
-  /// engine is the memory's only user while running.
+  /// Requests address `mem`'s PolyMem coordinates. The engine is the
+  /// memory's only user while running.
   explicit ServiceEngine(core::PolyMem& mem, EngineOptions options = {});
-
-  /// Tile-cached engine: requests address matrix coordinates of
-  /// `cache`'s LMem matrix; every access must fit inside one tile.
-  /// Requires the cache's write policy to be write-back (the drain marks
-  /// frames dirty; call the cache's flush() when LMem must be current)
-  /// and takes over as the cache's single consumer.
-  explicit ServiceEngine(cache::TileCache& cache, EngineOptions options = {});
 
   /// Stops the drain if running, then completes anything still queued
   /// or in flight (executed requests with kOk, never-executed ones with
@@ -136,18 +115,11 @@ class ServiceEngine {
   /// retires all completions, then returns once the drain task exited.
   void stop();
 
-  bool started() const { return started_.load(std::memory_order_acquire); }
-
   /// Manual pumps for deterministic tests (engine must not be started):
   /// drain_once serves one run or retires due completions, returning
   /// false only when fully idle; run_until_idle pumps to quiescence.
   bool drain_once();
   void run_until_idle();
-
-  const EngineOptions& options() const { return options_; }
-  unsigned ports() const { return static_cast<unsigned>(queues_.size()); }
-  core::PolyMem& polymem() { return *mem_; }
-  cache::TileCache* tile_cache() { return cache_; }
 
   /// Point-in-time statistics; exact once the engine is stopped or idle.
   EngineStats stats() const;
@@ -171,7 +143,6 @@ class ServiceEngine {
     std::vector<Word> data;
   };
 
-  void init_queues();
   Status validate(const Request& request) const;
   bool service_once();
   void execute_run(unsigned queue_port, const core::AccessBatch& batch);
@@ -183,9 +154,6 @@ class ServiceEngine {
   PendingBatch take_batch_buffer();
 
   core::PolyMem* mem_;
-  cache::TileCache* cache_ = nullptr;
-  std::int64_t tile_rows_ = 0;
-  std::int64_t tile_cols_ = 0;
   EngineOptions options_;
   std::vector<std::unique_ptr<PortQueue>> queues_;
 
@@ -226,7 +194,6 @@ class ServiceEngine {
   std::atomic<std::uint64_t> compiled_runs_{0};
   std::atomic<std::uint64_t> compiled_requests_{0};
   std::atomic<std::uint64_t> fallback_accesses_{0};
-  std::atomic<std::uint64_t> tile_misses_{0};
   std::atomic<std::uint64_t> max_in_flight_{0};
 };
 

@@ -4,12 +4,8 @@
 
 namespace polymem::service {
 
-PortQueue::PortQueue(std::size_t bound, std::int64_t tile_rows,
-                     std::int64_t tile_cols)
-    : bound_(bound), tile_rows_(tile_rows), tile_cols_(tile_cols) {
+PortQueue::PortQueue(std::size_t bound) : bound_(bound) {
   POLYMEM_REQUIRE(bound > 0, "port queue bound must be positive");
-  POLYMEM_REQUIRE((tile_rows == 0) == (tile_cols == 0),
-                  "tile constraint needs both dimensions (or neither)");
   ring_.resize(bound);
 }
 
@@ -26,13 +22,6 @@ Status PortQueue::try_push(PendingRequest&& pending) {
   return Status::kAccepted;
 }
 
-bool PortQueue::same_tile(const access::Coord& a,
-                          const access::Coord& b) const {
-  if (tile_rows_ == 0) return true;
-  return a.i / tile_rows_ == b.i / tile_rows_ &&
-         a.j / tile_cols_ == b.j / tile_cols_;
-}
-
 std::size_t PortQueue::pop_run(std::size_t max_run,
                                std::vector<PendingRequest>& run,
                                core::AccessBatch& batch) {
@@ -41,11 +30,9 @@ std::size_t PortQueue::pop_run(std::size_t max_run,
   const std::lock_guard<std::mutex> lock(mutex_);
   if (size_ == 0) return 0;
   const Op op = ring_[head_].request.op;
-  const access::Coord first = ring_[head_].request.where.anchor;
   while (run.size() < max_run && size_ > 0) {
     const PendingRequest& next = ring_[head_];
     if (next.request.op != op) break;
-    if (!same_tile(first, next.request.where.anchor)) break;
     if (!coalescer.try_add(next.request.where)) break;
     run.push_back(take_front());
   }
@@ -68,11 +55,6 @@ std::size_t PortQueue::depth() const {
 PortQueueStats PortQueue::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return {pushed_, shed_, depth_high_water_.max()};
-}
-
-void PortQueue::note_shed() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++shed_;
 }
 
 }  // namespace polymem::service

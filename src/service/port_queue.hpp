@@ -14,10 +14,8 @@
 //    drops silently; the caller decides whether to retry.
 //  - *Coalescing pop.* pop_run removes the longest FIFO prefix that one
 //    compiled ExecPlan can serve: same op, same pattern kind,
-//    constant-stride anchors (core::BatchCoalescer), and — when the
-//    queue is tile-constrained (sharded engines) — the same tile, so
-//    the whole run translates to its cache frame with one offset. FIFO
-//    order is preserved: a run is always a prefix, never a selection.
+//    constant-stride anchors (core::BatchCoalescer). FIFO order is
+//    preserved: a run is always a prefix, never a selection.
 //
 // Thread safety: any number of submitters, one drainer; every operation
 // holds the single port mutex. Depth statistics (high-water mark, shed
@@ -49,11 +47,8 @@ struct PortQueueStats {
 
 class PortQueue {
  public:
-  /// `bound` caps the queue depth (must be positive). Non-zero
-  /// `tile_rows`/`tile_cols` constrain coalesced runs to anchors within
-  /// one tile of that geometry (sharded engines; 0 means unconstrained).
-  explicit PortQueue(std::size_t bound, std::int64_t tile_rows = 0,
-                     std::int64_t tile_cols = 0);
+  /// `bound` caps the queue depth (must be positive).
+  explicit PortQueue(std::size_t bound);
 
   PortQueue(const PortQueue&) = delete;
   PortQueue& operator=(const PortQueue&) = delete;
@@ -77,11 +72,7 @@ class PortQueue {
   bool empty() const { return depth() == 0; }
   PortQueueStats stats() const;
 
-  /// Records a shed decided by the engine (e.g. submit after stop).
-  void note_shed();
-
  private:
-  bool same_tile(const access::Coord& a, const access::Coord& b) const;
   std::size_t slot(std::size_t offset) const {
     std::size_t s = head_ + offset;
     if (s >= bound_) s -= bound_;
@@ -95,8 +86,6 @@ class PortQueue {
   }
 
   const std::size_t bound_;
-  const std::int64_t tile_rows_;
-  const std::int64_t tile_cols_;
   mutable std::mutex mutex_;
   std::vector<PendingRequest> ring_;  ///< fixed capacity bound_
   std::size_t head_ = 0;              ///< index of the FIFO front

@@ -2,9 +2,8 @@
 //
 // The paper positions PolyMem as a high-bandwidth parallel memory serving
 // many concurrent access streams; a production memory serves *requests*,
-// not function calls. This module defines the request plane shared by the
-// single-memory engine (service/engine.hpp) and the multi-tenant sharded
-// router (service/sharded.hpp), modeled on mgsim's ParallelMemory idiom:
+// not function calls. This module defines the request plane of the
+// engine (service/engine.hpp), modeled on mgsim's ParallelMemory idiom:
 // clients submit (tenant, access, payload) tuples into bounded per-port
 // queues and registered listeners receive cycle-ordered completions.
 //
@@ -28,8 +27,8 @@ using hw::Word;
 /// Engine-assigned request identity, unique per engine, in submit order.
 using RequestId = std::uint64_t;
 
-/// Client identity: drives port placement (tenants hash to independent
-/// ports) and shows up in completions for per-tenant accounting.
+/// Client identity, echoed in completions for per-tenant accounting (the
+/// submitter picks the port).
 using Tenant = std::uint32_t;
 
 enum class Op : std::uint8_t { kRead, kWrite };
@@ -52,9 +51,8 @@ const char* status_name(Status status);
 
 class CompletionListener;
 
-/// One parallel-access request. `where` is in engine coordinates: PolyMem
-/// coordinates for a direct engine, matrix coordinates for a sharded /
-/// tile-cached engine. `tag` is an opaque client cookie echoed in the
+/// One parallel-access request. `where` is in the engine's PolyMem
+/// coordinates. `tag` is an opaque client cookie echoed in the
 /// completion (slot index, trace position, ...). `listener` receives the
 /// completion and must outlive it. Writes move their lanes() payload
 /// words into the request; reads leave `payload` empty.

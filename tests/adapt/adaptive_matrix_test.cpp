@@ -179,12 +179,17 @@ TEST(AdaptiveMatrix, AbortOnPoolLeavesAConsistentMatrix) {
   EXPECT_TRUE(cells_intact(mat));
 }
 
+/// Adapting options with a short window: migrations run inline.
+AdaptiveOptions adapting_opts() {
+  AdaptiveOptions o;
+  o.adapt = true;
+  o.profiler.window = 64;
+  o.policy.persistence = 2;
+  return o;
+}
+
 TEST(AdaptiveMatrix, AdaptsToAColumnPhaseAndStaysCorrect) {
-  AdaptiveOptions opts;
-  opts.adapt = true;
-  opts.profiler.window = 64;
-  opts.policy.persistence = 2;
-  AdaptiveMatrix mat(cfg_16x32(), opts);  // inline migrations
+  AdaptiveMatrix mat(cfg_16x32(), adapting_opts());
   fill_cells(mat);
 
   // A column phase: 32 cols x 2 anchor rows per pass. ReRo serves none
@@ -206,6 +211,29 @@ TEST(AdaptiveMatrix, AdaptsToAColumnPhaseAndStaysCorrect) {
   EXPECT_TRUE(mat.run_supported(
       AccessBatch::strided(PatternKind::kCol, {0, 0}, {0, 1}, 4)));
   EXPECT_GT(s.batched_accesses, 0u);
+  EXPECT_TRUE(cells_intact(mat));
+}
+
+TEST(AdaptiveMatrix, StaysOnASchemeThatServesTheRowPhase) {
+  AdaptiveMatrix mat(cfg_16x32(), adapting_opts());
+  fill_cells(mat);
+
+  // A row phase: 16 rows x 4 anchor columns per pass. ReRo already
+  // serves every access conflict-free, so no scheme is cheaper and a
+  // migration would only add its copy cost.
+  const auto rows =
+      AccessBatch{PatternKind::kRow, {0, 0}, {1, 0}, 16, {0, 8}, 4};
+  std::vector<core::Word> out(static_cast<std::size_t>(rows.count()) * 8);
+  for (int pass = 0; pass < 8; ++pass) {
+    mat.read_batch(rows, out);
+  }
+
+  const auto s = mat.stats();
+  EXPECT_GE(s.windows_profiled, 2u);
+  EXPECT_EQ(s.migrations_started, 0u);
+  EXPECT_EQ(s.migrations_completed, 0u);
+  EXPECT_EQ(s.scheme, Scheme::kReRo);
+  EXPECT_EQ(s.fallback_accesses, 0u);
   EXPECT_TRUE(cells_intact(mat));
 }
 

@@ -6,6 +6,7 @@
 // mismatch, a protocol race as a TSan report, and a copy bug as a
 // nonzero differential-oracle count.
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -25,6 +26,9 @@ using maf::Scheme;
 constexpr std::int64_t kBandRows = 16;  // per writer thread
 constexpr unsigned kWriters = 4;
 constexpr int kIters = 40;
+/// Writers keep going past kIters until a migration has completed under
+/// them, so the hammer cannot finish before the migrator got one done.
+constexpr auto kMigrationDeadline = std::chrono::seconds(10);
 
 core::Word cell_value(unsigned writer, int iter, std::size_t k) {
   return runtime::derive_seed(writer * 1000003u + static_cast<unsigned>(iter),
@@ -59,6 +63,9 @@ TEST(MigrationHammer, ReadYourWritesAcrossLiveMigrations) {
 
   std::atomic<bool> stop{false};
   std::atomic<int> stale_reads{0};
+  const auto deadline = std::chrono::steady_clock::now() + kMigrationDeadline;
+  // Each writer's final iteration; the final image must hold it.
+  std::vector<int> last_iter(kWriters, -1);
 
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
@@ -67,7 +74,12 @@ TEST(MigrationHammer, ReadYourWritesAcrossLiveMigrations) {
       const AccessBatch batch = band_batch(w);
       const auto words = static_cast<std::size_t>(batch.count()) * 8;
       std::vector<core::Word> data(words), got(words);
-      for (int iter = 0; iter < kIters; ++iter) {
+      for (int iter = 0;; ++iter) {
+        if (iter >= kIters &&
+            (mat.stats().migrations_completed >= 1 ||
+             std::chrono::steady_clock::now() >= deadline)) {
+          break;
+        }
         for (std::size_t k = 0; k < words; ++k) {
           data[k] = cell_value(w, iter, k);
         }
@@ -77,6 +89,7 @@ TEST(MigrationHammer, ReadYourWritesAcrossLiveMigrations) {
         // across any number of epoch flips in between.
         mat.read_batch(batch, got);
         if (got != data) stale_reads.fetch_add(1, std::memory_order_relaxed);
+        last_iter[w] = iter;
       }
     });
   }
@@ -121,7 +134,7 @@ TEST(MigrationHammer, ReadYourWritesAcrossLiveMigrations) {
     mat.read_batch(batch, got);
     int mismatches = 0;
     for (std::size_t k = 0; k < words; ++k) {
-      if (got[k] != cell_value(w, kIters - 1, k)) ++mismatches;
+      if (got[k] != cell_value(w, last_iter[w], k)) ++mismatches;
     }
     EXPECT_EQ(mismatches, 0) << "writer " << w;
   }

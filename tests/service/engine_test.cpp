@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "maxsim/lmem.hpp"
 
 namespace polymem::service {
 namespace {
@@ -325,135 +324,6 @@ TEST(ServiceEngine, ManualPumpForbiddenOnStartedEngine) {
   EXPECT_THROW(engine.drain_once(), InvalidArgument);
   EXPECT_THROW(engine.run_until_idle(), InvalidArgument);
   engine.stop();
-}
-
-// ----- tile-cached mode -------------------------------------------------
-
-maxsim::LMemMatrix make_matrix(maxsim::LMem& lmem, std::int64_t rows = 64,
-                               std::int64_t cols = 64) {
-  maxsim::LMemMatrix m{64, rows, cols, cols};
-  std::vector<hw::Word> row(static_cast<std::size_t>(cols));
-  for (std::int64_t i = 0; i < rows; ++i) {
-    for (std::int64_t j = 0; j < cols; ++j) {
-      row[static_cast<std::size_t>(j)] = static_cast<hw::Word>(i * 1000 + j);
-    }
-    lmem.write(m.word_addr(i, 0), row);
-  }
-  return m;
-}
-
-TEST(ServiceEngineCached, ReadsMatchTheMatrixAndMissesCostLatency) {
-  maxsim::LMem lmem(1 << 20);
-  core::PolyMem mem(cfg());
-  const auto matrix = make_matrix(lmem);
-  cache::TileCache cache(lmem, mem, matrix,
-                         core::FramePool::whole_space(mem.config(), 8, 32));
-  EngineOptions opt;
-  opt.miss_penalty_cycles = 100;
-  ServiceEngine engine(cache, opt);
-  Recorder rec;
-
-  // Rows 0..3 of tile (0,0), then rows 16..19 of tile (2,1).
-  std::uint64_t tag = 0;
-  for (std::int64_t i = 0; i < 4; ++i) {
-    ASSERT_EQ(engine.submit(0, read_req({PatternKind::kRow, {i, 8}}, tag++,
-                                        &rec)),
-              Status::kAccepted);
-  }
-  for (std::int64_t i = 16; i < 20; ++i) {
-    ASSERT_EQ(engine.submit(0, read_req({PatternKind::kRow, {i, 40}}, tag++,
-                                        &rec)),
-              Status::kAccepted);
-  }
-  engine.run_until_idle();
-
-  ASSERT_EQ(rec.entries.size(), 8u);
-  for (const auto& e : rec.entries) {
-    const std::int64_t i = static_cast<std::int64_t>(e.meta.tag) < 4
-                               ? static_cast<std::int64_t>(e.meta.tag)
-                               : 12 + static_cast<std::int64_t>(e.meta.tag);
-    const std::int64_t j = e.meta.tag < 4 ? 8 : 40;
-    for (unsigned k = 0; k < mem.lanes(); ++k) {
-      EXPECT_EQ(e.data[k], static_cast<hw::Word>(i * 1000 + j + k))
-          << "tag " << e.meta.tag;
-    }
-    // Both runs fault their tile: the miss penalty shows in the latency.
-    EXPECT_GE(e.meta.complete_cycle - e.meta.submit_cycle, 100u);
-  }
-  EXPECT_EQ(engine.stats().tile_misses, 2u);
-  EXPECT_EQ(cache.stats().counters().misses, 2u);
-}
-
-TEST(ServiceEngineCached, RejectsTileCrossingAccesses) {
-  maxsim::LMem lmem(1 << 20);
-  core::PolyMem mem(cfg());
-  const auto matrix = make_matrix(lmem);
-  cache::TileCache cache(lmem, mem, matrix,
-                         core::FramePool::whole_space(mem.config(), 8, 32));
-  ServiceEngine engine(cache);
-  Recorder rec;
-  // A row crossing the column-tile boundary at 32, and one crossing the
-  // matrix edge.
-  EXPECT_EQ(engine.submit(0, read_req({PatternKind::kRow, {0, 28}}, 0, &rec)),
-            Status::kRejected);
-  EXPECT_EQ(engine.submit(0, read_req({PatternKind::kRow, {0, 60}}, 1, &rec)),
-            Status::kRejected);
-  // A rect crossing the row-tile boundary at 8.
-  EXPECT_EQ(engine.submit(0, read_req({PatternKind::kRect, {7, 0}}, 2, &rec)),
-            Status::kRejected);
-  // In-tile equivalents are accepted.
-  EXPECT_EQ(engine.submit(0, read_req({PatternKind::kRow, {0, 24}}, 3, &rec)),
-            Status::kAccepted);
-  EXPECT_EQ(engine.submit(0, read_req({PatternKind::kRect, {6, 0}}, 4, &rec)),
-            Status::kAccepted);
-  engine.run_until_idle();
-  EXPECT_EQ(rec.entries.size(), 2u);
-}
-
-TEST(ServiceEngineCached, WritesMarkDirtyAndFlushPublishesToLMem) {
-  maxsim::LMem lmem(1 << 20);
-  core::PolyMem mem(cfg());
-  const auto matrix = make_matrix(lmem);
-  cache::TileCache cache(lmem, mem, matrix,
-                         core::FramePool::whole_space(mem.config(), 8, 32));
-  ServiceEngine engine(cache);
-  Recorder rec;
-
-  const std::int64_t row = 17, col = 32;  // tile (2, 1)
-  std::vector<Word> payload(mem.lanes());
-  for (std::size_t k = 0; k < payload.size(); ++k) {
-    payload[k] = 0xD00D00 + static_cast<Word>(k);
-  }
-  ASSERT_EQ(engine.submit(0, write_req({PatternKind::kRow, {row, col}},
-                                       payload, 0, &rec)),
-            Status::kAccepted);
-  ASSERT_EQ(engine.submit(0, read_req({PatternKind::kRow, {row, col}}, 1,
-                                      &rec)),
-            Status::kAccepted);
-  engine.run_until_idle();
-
-  ASSERT_EQ(rec.entries.size(), 2u);
-  EXPECT_EQ(rec.entries[1].data, payload);  // read-after-write via the frame
-
-  // LMem still holds the old data until flush.
-  std::vector<hw::Word> lmem_row(payload.size());
-  lmem.read(matrix.word_addr(row, col), lmem_row);
-  EXPECT_NE(lmem_row, payload);
-  cache.flush();
-  lmem.read(matrix.word_addr(row, col), lmem_row);
-  EXPECT_EQ(lmem_row, payload);
-}
-
-TEST(ServiceEngineCached, RequiresWriteBackPolicy) {
-  maxsim::LMem lmem(1 << 20);
-  core::PolyMem mem(cfg());
-  const auto matrix = make_matrix(lmem);
-  cache::CacheOptions copt;
-  copt.write_policy = cache::WritePolicy::kWriteThrough;
-  cache::TileCache cache(lmem, mem, matrix,
-                         core::FramePool::whole_space(mem.config(), 8, 32),
-                         copt);
-  EXPECT_THROW(ServiceEngine{cache}, InvalidArgument);
 }
 
 }  // namespace

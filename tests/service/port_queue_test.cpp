@@ -48,7 +48,6 @@ TEST(PortQueue, OverflowShedsTypedNeverSilently) {
 
 TEST(PortQueue, BoundMustBePositive) {
   EXPECT_THROW(PortQueue(0), InvalidArgument);
-  EXPECT_THROW(PortQueue(8, 8, 0), InvalidArgument);
 }
 
 TEST(PortQueue, PopRunCoalescesConstantStridePrefix) {
@@ -127,18 +126,6 @@ TEST(PortQueue, ZeroStrideRunCoalesces) {
   ASSERT_EQ(queue.pop_run(64, run, batch), 4u);
   EXPECT_EQ(batch.inner_stride, (Coord{0, 0}));
   EXPECT_EQ(batch.inner_count, 4);
-}
-
-TEST(PortQueue, TileConstraintBreaksRunsAtTileBoundary) {
-  PortQueue queue(16, /*tile_rows=*/8, /*tile_cols=*/32);
-  ASSERT_EQ(queue.try_push(row_read(6, 0, 0)), Status::kAccepted);
-  ASSERT_EQ(queue.try_push(row_read(7, 0, 1)), Status::kAccepted);
-  ASSERT_EQ(queue.try_push(row_read(8, 0, 2)), Status::kAccepted);  // next tile
-  std::vector<PendingRequest> run;
-  core::AccessBatch batch;
-  ASSERT_EQ(queue.pop_run(64, run, batch), 2u);
-  ASSERT_EQ(queue.pop_run(64, run, batch), 1u);
-  EXPECT_EQ(run[0].request.tag, 2u);
 }
 
 TEST(PortQueue, PopAllDrainsEverythingInFifoOrder) {

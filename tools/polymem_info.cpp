@@ -38,7 +38,6 @@ constexpr const char* kExample =
     "# cache_tile_cols = 64   #   (defaults to row panels, up to 4 frames)\n"
     "# service_ports = 2      # optional: request-engine submit queues\n"
     "# service_queue_bound = 256   # per-port admission bound\n"
-    "# service_shards = 2     # multi-tenant shard count\n"
     "# service_max_coalesce = 64   # longest run one drain serves\n"
     "# adapt_window = 4096    # adaptive profiler window (accesses)\n"
     "# adapt_band_rows = 2    # migration band height (defaults to p)\n";
@@ -150,8 +149,6 @@ int main(int argc, char** argv) {
     const auto svc_bound = static_cast<std::uint64_t>(file.get_int_or(
         "service_queue_bound",
         static_cast<std::int64_t>(engine_defaults.queue_bound)));
-    const auto svc_shards =
-        static_cast<unsigned>(file.get_int_or("service_shards", 2));
     const auto svc_coalesce = static_cast<std::uint64_t>(file.get_int_or(
         "service_max_coalesce",
         static_cast<std::int64_t>(engine_defaults.max_coalesce)));
@@ -160,9 +157,6 @@ int main(int argc, char** argv) {
                 svc_ports, static_cast<unsigned long long>(svc_bound));
     std::printf("  coalesce window: up to %llu requests per compiled run\n",
                 static_cast<unsigned long long>(svc_coalesce));
-    std::printf("  multi-tenant   : %u shards (tile-hash routed; each a "
-                "replica of this configuration over shared LMem)\n",
-                svc_shards);
     std::printf("  admission      : typed shedding (kOverloaded) beyond "
                 "%llu queued; in-flight retires in cycle order\n",
                 static_cast<unsigned long long>(svc_bound));
