@@ -12,7 +12,6 @@
 #include "hw/crossbar.hpp"
 #include "maf/maf.hpp"
 #include "sched/scheduler.hpp"
-#include "support/naive_polymem.hpp"
 
 namespace {
 
@@ -72,90 +71,6 @@ void BM_PolyMemParallelRead(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 8);
 }
 BENCHMARK(BM_PolyMemParallelRead)->DenseRange(0, 4)->ArgNames({"scheme"});
-
-// Cached-vs-naive hot path (ISSUE: plan-template cache). Both walk the
-// same strided anchor sequence; arg0 selects the scheme, arg1 the p x q
-// geometry (packed as p * 16 + q). The cached run replays memoized plan
-// templates; the naive run is the test oracle (tests/support), which
-// re-plans every access through the AGU and the shuffles.
-core::PolyMemConfig hot_path_config(benchmark::State& state) {
-  const auto scheme = static_cast<maf::Scheme>(state.range(0));
-  const unsigned p = static_cast<unsigned>(state.range(1)) / 16;
-  const unsigned q = static_cast<unsigned>(state.range(1)) % 16;
-  return core::PolyMemConfig::with_capacity(256 * KiB, scheme, p, q);
-}
-
-template <typename Mem>
-void hot_path_walk(benchmark::State& state, Mem& mem) {
-  const auto& cfg = mem.config();
-  std::vector<core::Word> out(cfg.lanes());
-  // Row walks for row-capable schemes, aligned rect walks otherwise
-  // (RoCo serves rectangles only at aligned anchors).
-  const bool rows =
-      mem.supports(access::PatternKind::kRow) == maf::SupportLevel::kAny;
-  const access::PatternKind kind =
-      rows ? access::PatternKind::kRow : access::PatternKind::kRect;
-  const std::int64_t step_i = rows ? 1 : cfg.p;
-  const std::int64_t rows_avail = cfg.height - (rows ? 1 : cfg.p) + step_i;
-  std::int64_t i = 0;
-  for (auto _ : state) {
-    mem.read_into({kind, {i % rows_avail, 0}}, 0, out);
-    benchmark::DoNotOptimize(out.data());
-    i += step_i;
-  }
-  state.SetItemsProcessed(state.iterations() * cfg.lanes());
-}
-
-void BM_PolyMemReadNaive(benchmark::State& state) {
-  core::NaivePolyMem mem(hot_path_config(state));
-  hot_path_walk(state, mem);
-}
-BENCHMARK(BM_PolyMemReadNaive)
-    ->ArgNames({"scheme", "pq"})
-    ->Args({1, 2 * 16 + 4})   // ReRo 2x4
-    ->Args({1, 4 * 16 + 4})   // ReRo 4x4
-    ->Args({3, 2 * 16 + 4})   // RoCo 2x4
-    ->Args({3, 4 * 16 + 4});  // RoCo 4x4
-
-void BM_PolyMemReadCached(benchmark::State& state) {
-  core::PolyMem mem(hot_path_config(state));
-  hot_path_walk(state, mem);
-}
-BENCHMARK(BM_PolyMemReadCached)
-    ->ArgNames({"scheme", "pq"})
-    ->Args({1, 2 * 16 + 4})
-    ->Args({1, 4 * 16 + 4})
-    ->Args({3, 2 * 16 + 4})
-    ->Args({3, 4 * 16 + 4});
-
-void BM_PolyMemReadBatch(benchmark::State& state) {
-  // The batched engine on top of the cache: validate once, then run the
-  // whole anchor grid back-to-back.
-  core::PolyMem mem(hot_path_config(state));
-  const auto& cfg = mem.config();
-  const bool rows =
-      mem.supports(access::PatternKind::kRow) == maf::SupportLevel::kAny;
-  const core::AccessBatch batch{
-      rows ? access::PatternKind::kRow : access::PatternKind::kRect,
-      {0, 0},
-      {rows ? 1 : cfg.p, 0},
-      rows ? cfg.height : cfg.height / cfg.p,
-      {0, 0},
-      1};
-  std::vector<core::Word> out(
-      static_cast<std::size_t>(batch.count()) * cfg.lanes());
-  for (auto _ : state) {
-    mem.read_batch(batch, 0, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * batch.count() * cfg.lanes());
-}
-BENCHMARK(BM_PolyMemReadBatch)
-    ->ArgNames({"scheme", "pq"})
-    ->Args({1, 2 * 16 + 4})
-    ->Args({1, 4 * 16 + 4})
-    ->Args({3, 2 * 16 + 4})
-    ->Args({3, 4 * 16 + 4});
 
 void BM_PolyMemParallelWrite(benchmark::State& state) {
   auto cfg = core::PolyMemConfig::with_capacity(64 * KiB,

@@ -22,7 +22,7 @@
 //  3. engine_multiport — one queue per client (ports = clients,
 //     read_ports = ports): each port's FIFO prefix is one client's
 //     burst, so the drain coalesces near-full runs and serves them on
-//     the ~5 ns/access compiled SIMD path.
+//     the ~5 ns/access compiled gather path.
 //
 // Each engine configuration is measured in two phases:
 //

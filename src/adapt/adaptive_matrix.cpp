@@ -8,14 +8,6 @@
 
 namespace polymem::adapt {
 
-namespace {
-
-bool stride_aligned(std::int64_t p, std::int64_t q, access::Coord stride) {
-  return stride.i % p == 0 && stride.j % q == 0;
-}
-
-}  // namespace
-
 AdaptiveMatrix::AdaptiveMatrix(core::PolyMemConfig config, AdaptiveOptions opts)
     : base_config_(config),
       opts_(opts),
@@ -69,32 +61,16 @@ void AdaptiveMatrix::batch_row_span(const core::AccessBatch& batch,
   hi = std::clamp<std::int64_t>(max_i, lo, height() - 1);
 }
 
-bool AdaptiveMatrix::run_supported_locked(
-    const core::AccessBatch& batch) const {
-  switch (active_->supports(batch.kind)) {
-    case maf::SupportLevel::kAny:
-      return true;
-    case maf::SupportLevel::kAligned:
-      return run_aligned(base_config_.p, base_config_.q, batch.start,
-                         batch.inner_stride) &&
-             stride_aligned(base_config_.p, base_config_.q,
-                            batch.outer_stride);
-    case maf::SupportLevel::kNone:
-      return false;
-  }
-  return false;
-}
-
 bool AdaptiveMatrix::run_supported(const core::AccessBatch& batch) const {
   std::shared_lock flip = enter();
   std::lock_guard eng(engine_mutex_);
-  return run_supported_locked(batch);
+  return active_->serves(batch);
 }
 
 void AdaptiveMatrix::serve_read(const core::AccessBatch& batch,
                                 std::span<core::Word> out) {
   const std::int64_t count = batch.count();
-  if (run_supported_locked(batch)) {
+  if (active_->serves(batch)) {
     active_->read_batch(batch, 0, out);
     batched_accesses_ += static_cast<std::uint64_t>(count);
     return;
@@ -114,7 +90,7 @@ void AdaptiveMatrix::serve_read(const core::AccessBatch& batch,
 void AdaptiveMatrix::serve_write(const core::AccessBatch& batch,
                                  std::span<const core::Word> data) {
   const std::int64_t count = batch.count();
-  if (run_supported_locked(batch)) {
+  if (active_->serves(batch)) {
     active_->write_batch(batch, data);
     batched_accesses_ += static_cast<std::uint64_t>(count);
     return;

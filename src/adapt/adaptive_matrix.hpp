@@ -187,7 +187,6 @@ class AdaptiveMatrix {
   void batch_row_span(const core::AccessBatch& batch, std::int64_t& lo,
                       std::int64_t& hi) const;
 
-  bool run_supported_locked(const core::AccessBatch& batch) const;
   void serve_read(const core::AccessBatch& batch, std::span<core::Word> out);
   void serve_write(const core::AccessBatch& batch,
                    std::span<const core::Word> data);

@@ -28,16 +28,8 @@ ExecPlan::Tables& ExecPlan::acquire_table(const PlanTemplate* tmpl,
   t.tmpl = tmpl;
   const unsigned lanes = lanes_;
   const unsigned ports = ports_;
-  t.bank.resize(lanes);
-  t.lane_for_bank.resize(lanes);
-  t.bank_addr0.resize(lanes);
   t.lane_base.resize(static_cast<std::size_t>(ports) * lanes);
   t.bank_base.resize(static_cast<std::size_t>(ports) * lanes);
-  for (unsigned k = 0; k < lanes; ++k) {
-    t.bank[k] = static_cast<std::int32_t>(tmpl->bank[k]);
-    t.lane_for_bank[k] = static_cast<std::uint32_t>(tmpl->lane_for_bank[k]);
-    t.bank_addr0[k] = tmpl->bank_addr0[k];
-  }
   // Base addresses of a residue class may sit below the bank's first word
   // (the per-anchor delta shifts them back in range); fold them into the
   // table as integers so no out-of-range pointer is ever formed.

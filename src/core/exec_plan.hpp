@@ -15,15 +15,16 @@
 //   delta[t]    int64  — access t's word offset from the table's base
 //                        addresses (the plan cache's per-anchor delta);
 //   tables[m]          — one entry per distinct residue class touched:
-//     bank[k]          int32      lane -> bank (the shuffle select),
-//     lane_for_bank[b] uint32     the inverse permutation,
-//     bank_addr0[b]    int64      intra-bank base offsets, and the
 //     lane_base / bank_base       pointer tables that fold the bank
 //                                 select and base address into a single
 //                                 uintptr per lane/bank — so executing
 //                                 access t is the gather
 //                                   out[k] = *(lane_base[k] + delta[t])
-//                                 and the mirrored scatter for writes.
+//                                 and, for writes, the mirrored scatter
+//                                 through the template's lane_for_bank.
+//
+// PolyMem::exec_read / exec_write are that loop, in portable C++
+// (docs/ARCHITECTURE.md, "Compiled execution engine").
 //
 // All arrays are cache-line aligned (simd/aligned.hpp) and resized in
 // place: recompiling a plan of the same shape allocates nothing, which
@@ -34,7 +35,7 @@
 //
 // The permutation baked into each table is safe to replay blindly: the
 // capability oracle proves conflict-freedom for the scheme per residue
-// class before the plan cache hands out a template, which makes `bank` a
+// class before the plan cache hands out a template, which makes its `bank` a
 // permutation of [0, lanes) by construction (see plan_cache.hpp). That is
 // why execution needs no per-cycle bank-conflict accounting.
 #pragma once
@@ -53,9 +54,6 @@ class ExecPlan {
  public:
   struct Tables {
     const PlanTemplate* tmpl = nullptr;
-    simd::AlignedVec<std::int32_t> bank;           // lane k -> bank
-    simd::AlignedVec<std::uint32_t> lane_for_bank; // bank b -> lane
-    simd::AlignedVec<std::int64_t> bank_addr0;     // bank b -> base offset
     // Gather table, [port][lane] flattened: replica `port`'s storage of
     // lane k's bank, pre-advanced by the lane's base address.
     simd::AlignedVec<std::uintptr_t> lane_base;
@@ -75,7 +73,6 @@ class ExecPlan {
   std::int64_t count() const { return count_; }
   unsigned lanes() const { return lanes_; }
   unsigned ports() const { return ports_; }
-  bool uniform() const { return used_ == 1; }
   std::size_t table_count() const { return used_; }
 
   const Tables& table(std::size_t m) const { return tables_[m]; }

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "core/simd/dispatch.hpp"
 
 namespace polymem::core {
 
@@ -107,6 +106,16 @@ bool affine_checked(std::int64_t a, std::int64_t b, std::int64_t c,
 
 }  // namespace
 
+bool PolyMem::serves(const AccessBatch& batch) const {
+  // p/q-multiple strides keep every anchor in the start's alignment class.
+  const auto aligned = [this](access::Coord c) {
+    return c.i % config_.p == 0 && c.j % config_.q == 0;
+  };
+  return plan_cache_.serves({batch.kind, batch.start}) &&
+         (supports(batch.kind) != maf::SupportLevel::kAligned ||
+          (aligned(batch.inner_stride) && aligned(batch.outer_stride)));
+}
+
 void PolyMem::validate_batch(const AccessBatch& batch) const {
   POLYMEM_REQUIRE(batch.inner_count >= 0 && batch.outer_count >= 0,
                   "batch counts must be non-negative");
@@ -117,30 +126,17 @@ void PolyMem::validate_batch(const AccessBatch& batch) const {
               count, static_cast<std::int64_t>(config_.lanes()), &words),
       "batch size overflows");
   if (count == 0) return;
-  const maf::SupportLevel level = supports(batch.kind);
-  if (level == maf::SupportLevel::kNone) {
+  if (!serves(batch)) {
     std::ostringstream os;
     os << "scheme " << maf::scheme_name(config_.scheme) << " (" << config_.p
-       << 'x' << config_.q << ") does not serve pattern "
-       << access::pattern_name(batch.kind);
-    throw Unsupported(os.str());
-  }
-  if (level == maf::SupportLevel::kAligned) {
-    const auto p = static_cast<std::int64_t>(config_.p);
-    const auto q = static_cast<std::int64_t>(config_.q);
-    const bool aligned =
-        batch.start.i % p == 0 && batch.start.j % q == 0 &&
-        batch.inner_stride.i % p == 0 && batch.inner_stride.j % q == 0 &&
-        batch.outer_stride.i % p == 0 && batch.outer_stride.j % q == 0;
-    if (!aligned) {
-      std::ostringstream os;
-      os << "scheme " << maf::scheme_name(config_.scheme) << " (" << config_.p
-         << 'x' << config_.q << ") serves pattern "
-         << access::pattern_name(batch.kind)
+       << 'x' << config_.q << ") ";
+    if (supports(batch.kind) == maf::SupportLevel::kNone)
+      os << "does not serve pattern " << access::pattern_name(batch.kind);
+    else
+      os << "serves pattern " << access::pattern_name(batch.kind)
          << " only at p/q-aligned anchors; batch start or strides break "
             "alignment";
-      throw Unsupported(os.str());
-    }
+    throw Unsupported(os.str());
   }
   // Anchor coordinates are affine in the (inner, outer) index box, so the
   // per-axis extremes — all `fits` cares about — occur at the corners. A
@@ -189,43 +185,33 @@ ExecPlan& PolyMem::compiled_plan(const AccessBatch& batch,
 }
 
 void PolyMem::exec_read(const ExecPlan& plan, unsigned port, std::int64_t t0,
-                        std::int64_t count, Word* out) {
-  const simd::Kernels& kernels = simd::kernels();
+                        std::int64_t count, Word* out) const {
   const unsigned lanes = plan.lanes();
-  if (plan.uniform()) {
-    kernels.gather_run(plan.lane_base(0, port), lanes, plan.delta() + t0,
-                       count, out);
-    return;
+  for (std::int64_t t = t0; t < t0 + count; ++t) {
+    const std::uintptr_t* lane_base = plan.lane_base(
+        static_cast<std::size_t>(plan.tmpl_of()[t]), port);
+    const auto db = static_cast<std::uintptr_t>(
+        plan.delta()[t] * static_cast<std::int64_t>(sizeof(Word)));
+    for (unsigned k = 0; k < lanes; ++k)
+      *out++ = *reinterpret_cast<const Word*>(lane_base[k] + db);
   }
-  const std::size_t tables = plan.table_count();
-  table_lane_scratch_.resize(tables);
-  for (std::size_t m = 0; m < tables; ++m)
-    table_lane_scratch_[m] = plan.lane_base(m, port);
-  kernels.gather_multi(table_lane_scratch_.data(), plan.tmpl_of() + t0,
-                       lanes, plan.delta() + t0, count, out);
 }
 
 void PolyMem::exec_write(const ExecPlan& plan, std::int64_t t0,
                          std::int64_t count, const Word* data) {
-  const simd::Kernels& kernels = simd::kernels();
   const unsigned lanes = plan.lanes();
-  const unsigned replicas = plan.ports();
-  if (plan.uniform()) {
-    const ExecPlan::Tables& t = plan.table(0);
-    kernels.scatter_run(t.bank_base.data(), replicas, t.lane_for_bank.data(),
-                        lanes, plan.delta() + t0, count, data);
-    return;
+  for (std::int64_t t = t0; t < t0 + count; ++t, data += lanes) {
+    const ExecPlan::Tables& table =
+        plan.table(static_cast<std::size_t>(plan.tmpl_of()[t]));
+    const unsigned* lane_for_bank = table.tmpl->lane_for_bank.data();
+    const auto db = static_cast<std::uintptr_t>(
+        plan.delta()[t] * static_cast<std::int64_t>(sizeof(Word)));
+    // Every read-port replica stores the same data.
+    const std::uintptr_t* bank_base = table.bank_base.data();
+    for (unsigned r = 0; r < plan.ports(); ++r, bank_base += lanes)
+      for (unsigned b = 0; b < lanes; ++b)
+        *reinterpret_cast<Word*>(bank_base[b] + db) = data[lane_for_bank[b]];
   }
-  const std::size_t tables = plan.table_count();
-  table_bank_scratch_.resize(tables);
-  table_lfb_scratch_.resize(tables);
-  for (std::size_t m = 0; m < tables; ++m) {
-    table_bank_scratch_[m] = plan.table(m).bank_base.data();
-    table_lfb_scratch_[m] = plan.table(m).lane_for_bank.data();
-  }
-  kernels.scatter_multi(table_bank_scratch_.data(), table_lfb_scratch_.data(),
-                        plan.tmpl_of() + t0, replicas, lanes,
-                        plan.delta() + t0, count, data);
 }
 
 void PolyMem::read_batch(const AccessBatch& batch, unsigned port,

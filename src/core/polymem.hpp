@@ -6,7 +6,7 @@
 // p*q elements at once, the way one clock cycle of the hardware does.
 //
 // Every access is served one way (docs/ARCHITECTURE.md, "Performance
-// model" and "SIMD execution engine"). validate_batch checks support,
+// model" and "Compiled execution engine"). validate_batch checks support,
 // alignment and bounds once per call — a single access is checked as a
 // 1-element batch — and the plan-template cache (core/plan_cache.hpp) then
 // supplies the bank permutation and base addresses of the access's
@@ -14,9 +14,8 @@
 //  - single accesses (read, write, read_write) route their lanes straight
 //    through the template into the banks, with per-cycle port accounting;
 //  - batches compile to flat structure-of-arrays tables
-//    (core/exec_plan.hpp) and run on CPU-dispatched gather/scatter kernels
-//    (core/simd/) — scalar, AVX2 or NEON, selected at startup and
-//    overridable via POLYMEM_SIMD / POLYMEM_FORCE_SCALAR.
+//    (core/exec_plan.hpp) and run as one portable gather/scatter loop
+//    (exec_read / exec_write).
 // A validated access always has a template (PlanCache rejects geometries
 // whose templates would not fit at construction), so there is no fallback
 // path. The per-lane AGU + shuffle data path of paper Fig. 3 survives as
@@ -80,6 +79,11 @@ class PolyMem {
   bool serves(const access::ParallelAccess& where) const {
     return plan_cache_.serves(where);
   }
+  /// serves() for every access of a batch: kAny, or kAligned with the
+  /// start and both strides p/q-aligned. validate_batch throws Unsupported
+  /// for a non-empty batch exactly when this is false, so callers with a
+  /// fallback path test it first.
+  bool serves(const AccessBatch& batch) const;
 
   /// Writes lanes() words (canonical order) through the write port.
   void write(const access::ParallelAccess& where, std::span<const Word> data);
@@ -101,7 +105,7 @@ class PolyMem {
 
   /// Batched access engine: validates the whole batch once (support,
   /// alignment, bounds), then compiles it to a flat ExecPlan and executes
-  /// it with the dispatched gather/scatter kernels (core/simd/) — no
+  /// it with the gather/scatter loop (exec_read / exec_write) — no
   /// per-access allocation, re-validation or per-bank call. Compiled
   /// plans are memoized per batch, so replaying an equal batch skips
   /// compilation entirely. Each batch element is its own cycle;
@@ -186,8 +190,10 @@ class PolyMem {
   /// half of a fused copy) against eviction.
   ExecPlan& compiled_plan(const AccessBatch& batch,
                           const ExecPlan* avoid = nullptr);
+  // The gather and scatter loops over accesses [t0, t0 + count) of a
+  // compiled plan: `lanes` loads / per-replica stores per access.
   void exec_read(const ExecPlan& plan, unsigned port, std::int64_t t0,
-                 std::int64_t count, Word* out);
+                 std::int64_t count, Word* out) const;
   void exec_write(const ExecPlan& plan, std::int64_t t0, std::int64_t count,
                   const Word* data);
 
@@ -201,12 +207,6 @@ class PolyMem {
   std::vector<Word> copy_buf_;     // stream_copy_batch lane staging
   std::array<ExecSlot, kExecSlots> exec_slots_;
   std::size_t exec_victim_ = 0;    // next slot a fresh compile lands in
-  // Per-call kernel argument tables for multi-residue batches: resized to
-  // the plan's table count, so they grow to the widest batch seen and are
-  // then reused without allocating.
-  std::vector<const std::uintptr_t*> table_lane_scratch_;
-  std::vector<const std::uintptr_t*> table_bank_scratch_;
-  std::vector<const std::uint32_t*> table_lfb_scratch_;
   std::uint64_t parallel_reads_ = 0;
   std::uint64_t parallel_writes_ = 0;
 };

@@ -1,7 +1,7 @@
 // Cache-line aligned flat buffers for the compiled execution engine.
 //
 // The ExecPlan (core/exec_plan.hpp) stores everything the gather/scatter
-// kernels touch — bank indices, address deltas, pointer tables — as flat
+// loop touches — table indices, address deltas, pointer tables — as flat
 // arrays so the hot loop is pure arithmetic over contiguous memory. This
 // minimal vector keeps those arrays 64-byte aligned (one table never
 // straddles a line needlessly, vector loads can use aligned forms) and
@@ -26,7 +26,7 @@ inline constexpr std::size_t kCacheLine = 64;
 template <typename T>
 class AlignedVec {
   static_assert(std::is_trivially_copyable_v<T>,
-                "AlignedVec holds flat SIMD tables: trivially copyable only");
+                "AlignedVec holds flat plan tables: trivially copyable only");
 
  public:
   AlignedVec() = default;

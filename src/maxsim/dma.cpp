@@ -33,7 +33,7 @@ DmaEngine::Shape DmaEngine::pick_shape(std::int64_t rows, std::int64_t cols,
     return Shape::kRowAccesses;
   }
   if (rows % cfg.p == 0 && cols % cfg.q == 0 &&
-      mem_->serves({PatternKind::kRect, origin})) {
+      mem_->serves(access::ParallelAccess{PatternKind::kRect, origin})) {
     // Rect anchors advance in p/q steps from the origin, so alignment (for
     // RoCo) holds at every tile position iff it holds at the origin.
     return Shape::kRectAccesses;

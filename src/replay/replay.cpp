@@ -88,20 +88,6 @@ struct OpData {
   }
 };
 
-bool batched_eligible(const core::PolyMem& mem, const TraceOp& op,
-                      unsigned p, unsigned q) {
-  switch (mem.supports(op.kind)) {
-    case maf::SupportLevel::kAny:
-      return true;
-    case maf::SupportLevel::kAligned:
-      return op.anchor.i % p == 0 && op.anchor.j % q == 0 &&
-             op.stride.i % p == 0 && op.stride.j % q == 0;
-    case maf::SupportLevel::kNone:
-      return false;
-  }
-  return false;
-}
-
 void check_read(const std::vector<std::uint64_t>& got, Mirror& mirror,
                 const TraceOp& op, std::int64_t op_index,
                 ReplayReport& report) {
@@ -163,7 +149,7 @@ ReplayReport replay_direct(const RecordedTrace& trace,
   for (std::size_t k = 0; k < trace.ops.size(); ++k) {
     const TraceOp& op = trace.ops[k];
     const auto op_index = static_cast<std::int64_t>(k);
-    const bool batched = batched_eligible(mem, op, trace.p, trace.q);
+    const bool batched = mem.serves(op.batch());
     ++report.ops;
     (op.dir == TraceOp::Dir::kRead ? report.reads : report.writes) +=
         op.count;

@@ -10,7 +10,7 @@
 //    of one port (round-robin across ports = cycle order) and compiles it
 //    into the engine's own ExecPlan (PolyMem::compile_batch), so one
 //    compiled gather/scatter serves the whole run — the 8.7-8.9 ns/access
-//    SIMD path (BENCH_core.json) amortized over many requests instead of
+//    gather path (BENCH_core.json) amortized over many requests instead of
 //    idling between synchronous read_batch calls. A run of one request
 //    is served as a single access (read_into / write) instead.
 //  - *In-flight tracking.* Executed runs enter a cycle-ordered

@@ -5,12 +5,12 @@
 // bank and address (core/agu.hpp), the address and write-data shuffles
 // route lanes to banks, the banks serve the cycle with port accounting,
 // and the read-data shuffle restores canonical order (support/shuffle.hpp).
-// No plan templates, no compiled tables, no SIMD kernels — nothing that
+// No plan templates, no compiled tables, no gather loop — nothing that
 // core::PolyMem's single execution path shares beyond the MAF, the
 // addressing function and the bank model.
 //
-// Tests compare PolyMem against it bit for bit; tools/bench_core and
-// bench/bench_micro time it as the naive baseline. It mirrors the PolyMem
+// Tests compare PolyMem against it bit for bit; tools/bench_core times
+// it as the naive baseline. It mirrors the PolyMem
 // calls those users need; batch calls are plain per-access loops.
 #pragma once
 
